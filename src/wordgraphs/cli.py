@@ -1,5 +1,5 @@
 """Command-line front end. Exit codes: 0 success, 1 negative answer,
-2 usage or input errors, 3 search budget exceeded."""
+2 usage or input errors, 3 search budget exceeded, 4 internal error."""
 
 from __future__ import annotations
 
@@ -368,9 +368,9 @@ def _cmd_cwd_eval(args) -> int:
 def _cmd_cwd_verify(args) -> int:
     word = _word(args)
     sigma = _sigma(args.sigma)
+    # build_expression raises unless the expression evaluates to the word's
+    # graph within the label limit, so a returned expression always matches
     expr = build_expression(word, sigma, args.k)
-    out = eval_expression(expr)
-    matches = out.graph == graph_of_word(word)
     used = len(labels_used(expr))
     limit = 2 ** args.k + 1
     if args.json:
@@ -379,21 +379,22 @@ def _cmd_cwd_verify(args) -> int:
                 "word": _word_json(word),
                 "sigma": list(sigma),
                 "k": args.k,
-                "matches": matches,
+                "matches": True,
                 "labels_used": used,
                 "label_limit": limit,
                 "expression": serialize(expr),
             }
         )
     else:
-        print(f"graph matches: {'yes' if matches else 'no'}")
+        print("graph matches: yes")
         print(f"labels used: {used} (limit {limit})")
-    return 0 if matches else 1
+    return 0
 
 
 def _cmd_speed(args) -> int:
     node_budget = _resolve(args.budget_nodes, "WG_BUDGET_NODES", ENUMERATION_BUDGET_DEFAULT)
     max_len = _resolve(args.budget_len, "WG_BUDGET_LEN", 0) or None
+    crosscheck = args.class_kind == "L" and args.k == 1
     count = 0
     total = 0
     threshold_count = 0
@@ -409,9 +410,8 @@ def _cmd_speed(args) -> int:
         member, _ = decide_membership(query)
         if member:
             count += 1
-        if is_threshold(g):
+        if crosscheck and is_threshold(g):
             threshold_count += 1
-    crosscheck = args.class_kind == "L" and args.k == 1
     if crosscheck and count != threshold_count:
         raise RuntimeError(
             f"internal: decide count {count} disagrees with threshold count {threshold_count}"
@@ -560,6 +560,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

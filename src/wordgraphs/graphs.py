@@ -168,8 +168,8 @@ def crown_graph(n: int) -> Graph:
     return Graph(nodes, edges)
 
 
-def clique_partition_graph(parts: Iterable[Iterable[str]]) -> Graph:
-    """Disjoint union of cliques, one per part."""
+def _clique_parts(parts: Iterable[Iterable[str]]) -> list[list[str]]:
+    """Sorted members of every part; parts must be non-empty and disjoint."""
     seen: set[str] = set()
     cleaned: list[list[str]] = []
     for part in parts:
@@ -182,8 +182,14 @@ def clique_partition_graph(parts: Iterable[Iterable[str]]) -> Graph:
             raise ValueError(f"part {members!r} overlaps an earlier part")
         seen.update(members)
         cleaned.append(members)
+    return cleaned
+
+
+def clique_partition_graph(parts: Iterable[Iterable[str]]) -> Graph:
+    """Disjoint union of cliques, one per part."""
+    cleaned = _clique_parts(parts)
     edges = [e for part in cleaned for e in combinations(part, 2)]
-    return Graph(seen, edges)
+    return Graph(frozenset(x for part in cleaned for x in part), edges)
 
 
 _FIXTURE_EDGES: dict[str, tuple[tuple[str, str], ...]] = {

@@ -119,8 +119,15 @@ def simulate_marking(word: Word, sigma: Sequence[str]) -> list[StageTrace]:
 
 def max_block_count(word: Word, sigma: Sequence[str]) -> int:
     """Largest block count any stage of sigma reaches on the word."""
-    traces = simulate_marking(word, sigma)
-    return max((t.block_count for t in traces), default=0)
+    sig = _check_sequence(word, sigma)
+    positions = _positions_by_letter(word)
+    marked = bytearray(len(word) + 2)
+    blocks = high = 0
+    for c in sig:
+        blocks += _mark(marked, positions[c])
+        if blocks > high:
+            high = blocks
+    return high
 
 
 def is_k_local_with(word: Word, sigma: Sequence[str], k: int) -> bool:
@@ -130,118 +137,102 @@ def is_k_local_with(word: Word, sigma: Sequence[str], k: int) -> bool:
 
 
 def _positions_by_letter(word: Word) -> dict[str, tuple[int, ...]]:
+    """1-based positions of every letter, to index a marking array with sentinels."""
     positions: dict[str, list[int]] = {}
-    for p, x in enumerate(word):
+    for p, x in enumerate(word, 1):
         positions.setdefault(x, []).append(p)
     return {c: tuple(ps) for c, ps in positions.items()}
+
+
+def _mark(marked: bytearray, ps: tuple[int, ...]) -> int:
+    """Mark positions ps and return the change in the block count.
+
+    marked has len(word) + 2 slots; slots 0 and len(word) + 1 stay
+    unmarked, so every position has two neighbours to look at.
+    """
+    delta = 0
+    for p in ps:
+        marked[p] = 1
+        delta += 1 - marked[p - 1] - marked[p + 1]
+    return delta
+
+
+def _budgeted_letters(word: Word, letter_budget: int) -> list[str]:
+    letters = sorted(alphabet(word))
+    if len(letters) > letter_budget:
+        raise BudgetExceededError(
+            f"alphabet has {len(letters)} letters, budget is {letter_budget}"
+        )
+    return letters
+
+
+def _search(
+    word: Word, letters: list[str], bound: int, floor: int
+) -> tuple[int, MarkingSequence] | None:
+    """Best marking sequence whose block maximum stays below bound.
+
+    Depth-first search over marking sequences, expanding letters in sorted
+    order and pruning a branch as soon as its running block maximum reaches
+    the best complete sequence so far (bound at the start). Completions
+    arrive with strictly falling maxima, so the last one is the
+    lexicographically smallest optimum. The search stops at a completion
+    whose maximum is at most floor, since nothing later can beat it.
+    Returns None when no sequence stays below bound.
+    """
+    positions = _positions_by_letter(word)
+    marked = bytearray(len(word) + 2)
+    used = [False] * len(letters)
+    order: list[str] = []
+    best_k = bound
+    best_sigma: MarkingSequence | None = None
+
+    def dfs(blocks: int, high: int) -> bool:
+        nonlocal best_k, best_sigma
+        if len(order) == len(letters):
+            best_k = high
+            best_sigma = tuple(order)
+            return high <= floor
+        for idx, c in enumerate(letters):
+            if used[idx]:
+                continue
+            ps = positions[c]
+            nb = blocks + _mark(marked, ps)
+            nh = high if high >= nb else nb
+            if nh < best_k:
+                used[idx] = True
+                order.append(c)
+                if dfs(nb, nh):
+                    return True
+                order.pop()
+                used[idx] = False
+            for p in ps:
+                marked[p] = 0
+        return False
+
+    dfs(0, 0)
+    return None if best_sigma is None else (best_k, best_sigma)
 
 
 def locality(
     word: Word, *, letter_budget: int = LETTER_BUDGET_DEFAULT
 ) -> tuple[int, MarkingSequence]:
-    """Exact locality of the word with an optimal marking sequence.
-
-    Depth-first search over marking sequences, expanding letters in sorted
-    order and pruning a branch as soon as its running block maximum reaches
-    the best complete sequence so far. With that pruning rule the last
-    sequence to complete is the lexicographically smallest optimum, which
-    is what gets returned.
-    """
-    letters = sorted(alphabet(word))
-    if not letters:
+    """Exact locality of the word with the lexicographically smallest
+    optimal marking sequence."""
+    if not len(word):
         raise ValueError("the empty word has no locality")
-    if len(letters) > letter_budget:
-        raise BudgetExceededError(
-            f"alphabet has {len(letters)} letters, budget is {letter_budget}"
-        )
-    n = len(word)
-    positions = _positions_by_letter(word)
-    marked = bytearray(n)
-    used = [False] * len(letters)
-    order: list[str] = []
-    best_k = n + 1
-    best_sigma: MarkingSequence = ()
-
-    def mark(ps: tuple[int, ...]) -> int:
-        delta = 0
-        for p in ps:
-            left = p > 0 and marked[p - 1]
-            right = p + 1 < n and marked[p + 1]
-            marked[p] = 1
-            delta += 1 - (1 if left else 0) - (1 if right else 0)
-        return delta
-
-    def unmark(ps: tuple[int, ...]) -> None:
-        for p in ps:
-            marked[p] = 0
-
-    def dfs(blocks: int, high: int) -> None:
-        nonlocal best_k, best_sigma
-        if len(order) == len(letters):
-            best_k = high
-            best_sigma = tuple(order)
-            return
-        for idx, c in enumerate(letters):
-            if used[idx]:
-                continue
-            ps = positions[c]
-            nb = blocks + mark(ps)
-            nh = high if high >= nb else nb
-            if nh < best_k:
-                used[idx] = True
-                order.append(c)
-                dfs(nb, nh)
-                order.pop()
-                used[idx] = False
-            unmark(ps)
-
-    dfs(0, 0)
-    return best_k, best_sigma
+    letters = _budgeted_letters(word, letter_budget)
+    # no non-empty word does better than one block, so a 1-block sequence ends the search
+    return _search(word, letters, len(word) + 1, 1)
 
 
 def is_k_local(word: Word, k: int, *, letter_budget: int = LETTER_BUDGET_DEFAULT) -> bool:
     """Whether some marking sequence keeps the word within k blocks."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    letters = sorted(alphabet(word))
-    if not letters:
+    if not len(word):
         return True
-    if len(letters) > letter_budget:
-        raise BudgetExceededError(
-            f"alphabet has {len(letters)} letters, budget is {letter_budget}"
-        )
-    n = len(word)
-    positions = _positions_by_letter(word)
-    marked = bytearray(n)
-    used = [False] * len(letters)
-
-    def mark(ps: tuple[int, ...]) -> int:
-        delta = 0
-        for p in ps:
-            left = p > 0 and marked[p - 1]
-            right = p + 1 < n and marked[p + 1]
-            marked[p] = 1
-            delta += 1 - (1 if left else 0) - (1 if right else 0)
-        return delta
-
-    def dfs(depth: int, blocks: int) -> bool:
-        if depth == len(letters):
-            return True
-        for idx, c in enumerate(letters):
-            if used[idx]:
-                continue
-            ps = positions[c]
-            nb = blocks + mark(ps)
-            if nb <= k:
-                used[idx] = True
-                if dfs(depth + 1, nb):
-                    return True
-                used[idx] = False
-            for p in ps:
-                marked[p] = 0
-        return False
-
-    return dfs(0, 0)
+    letters = _budgeted_letters(word, letter_budget)
+    return _search(word, letters, k + 1, k) is not None
 
 
 def block_labels(trace: StageTrace, k: int) -> dict[str, Label]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetExceededError
-from .graphs import Graph, adjacency
+from .graphs import Graph, _clique_parts, adjacency
 from .locality import (
     LETTER_BUDGET_DEFAULT,
     MarkingSequence,
@@ -93,18 +93,7 @@ def represent_clique_partition(
     innermost part first, keeping one growing centre block plus at most
     one satellite at every stage.
     """
-    ordered = []
-    seen: set[str] = set()
-    for part in parts:
-        members = sorted(part)
-        if not members:
-            raise ValueError("clique partition parts must be non-empty")
-        if len(set(members)) != len(members):
-            raise ValueError(f"part {members!r} repeats a node")
-        if seen & set(members):
-            raise ValueError(f"part {members!r} overlaps an earlier part")
-        seen.update(members)
-        ordered.append(members)
+    ordered = _clique_parts(parts)
     if not ordered:
         raise ValueError("need at least one part")
     first = [x for part in ordered for x in part]

@@ -252,3 +252,16 @@ def test_usage_errors_exit_two(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["cwd", "--help"]) == 0
+
+
+def test_internal_error_exits_four(capsys, monkeypatch):
+    import wordgraphs.cli as cli
+
+    def broken(args):
+        raise RuntimeError("invariant broke\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_graph", broken)
+    code, out, err = run(capsys, "graph", "balloon")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal: RuntimeError: invariant broke second line\n"

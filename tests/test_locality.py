@@ -26,7 +26,7 @@ def oracle_locality(word):
         return 0, ()
     best = None
     for sigma in itertools.permutations(letters):
-        m = max_block_count(word, sigma)
+        m = max(t.block_count for t in simulate_marking(word, sigma))
         key = (m, sigma)
         if best is None or key < best:
             best = key
@@ -127,6 +127,34 @@ def test_is_k_local_agrees_with_locality():
         assert not is_k_local(word, max(1, k_min - 1)) or k_min <= max(1, k_min - 1)
         assert is_k_local(word, k_min)
         assert is_k_local(word, k_min + 1)
+
+
+def test_max_block_count_matches_stage_traces():
+    rng = random.Random(47)
+    for _ in range(300):
+        n = rng.randrange(2, 14)
+        tokens = rng.random() < 0.3
+        pool = ("x1", "y", "zz", "w") if tokens else "abcd"
+        letters = [rng.choice(pool) for _ in range(n)]
+        # the first and last positions share a letter, touching both sentinels
+        letters[-1] = letters[0]
+        word = tuple(letters) if tokens else "".join(letters)
+        sigma = list(set(letters))
+        rng.shuffle(sigma)
+        expected = max(t.block_count for t in simulate_marking(word, sigma))
+        assert max_block_count(word, sigma) == expected, (word, sigma)
+
+
+def test_is_k_local_matches_every_permutation():
+    rng = random.Random(53)
+    for _ in range(150):
+        word = "".join(rng.choice("abcde") for _ in range(rng.randrange(1, 11)))
+        best = min(
+            max(t.block_count for t in simulate_marking(word, sigma))
+            for sigma in itertools.permutations(sorted(set(word)))
+        )
+        for k in range(1, best + 2):
+            assert is_k_local(word, k) == (best <= k), (word, k)
 
 
 def test_is_k_local_with_requires_positive_k():
