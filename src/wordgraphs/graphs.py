@@ -80,10 +80,15 @@ def graph_from_json_text(text: str) -> Graph:
     edges = data["edges"]
     if not isinstance(nodes, list) or not isinstance(edges, list):
         raise ValueError('"nodes" and "edges" must be lists')
+    for v in nodes:
+        if not isinstance(v, str):
+            raise ValueError(f"node ids must be strings, got {v!r}")
     pairs = []
     for e in edges:
         if not isinstance(e, list) or len(e) != 2:
             raise ValueError(f"edge entries must be two-element lists, got {e!r}")
+        if not all(isinstance(v, str) for v in e):
+            raise ValueError(f"edge endpoints must be strings, got {e!r}")
         pairs.append((e[0], e[1]))
     return Graph(nodes, pairs)
 

@@ -98,10 +98,11 @@ def simulate_marking(word: Word, sigma: Sequence[str]) -> list[StageTrace]:
             tuple(j for j, (s, e) in enumerate(prev) if lo <= s and e <= hi)
             for lo, hi in blocks
         )
-        profile = {
-            x: tuple(sum(1 for p in range(lo - 1, hi) if word[p] == x) for lo, hi in blocks)
-            for x in letters
-        }
+        counts = {x: [0] * len(blocks) for x in letters}
+        for j, (lo, hi) in enumerate(blocks):
+            for p in range(lo - 1, hi):
+                counts[word[p]][j] += 1
+        profile = {x: tuple(row) for x, row in counts.items()}
         traces.append(
             StageTrace(
                 stage_index=i,

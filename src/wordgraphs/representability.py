@@ -127,10 +127,9 @@ def decide_membership(
     lexicographic order, so the witness is the lexicographically smallest
     among the shortest. A prefix dies as soon as an edge pair repeats a
     letter in its projection, a non-edge pair can no longer pick up a
-    repeat, some letter can no longer appear, or the length can no longer
-    be reached. The search space is complete for both classes, so within
-    budget the negative answer is sound; a graph over budget raises
-    instead of guessing.
+    repeat, or some letter can no longer appear. The search space is
+    complete for both classes, so within budget the negative answer is
+    sound; a graph over budget raises instead of guessing.
     """
     g = query.graph
     k = query.k
@@ -148,15 +147,15 @@ def decide_membership(
     local_k = None if query.class_kind == "R" else k
     complete_len = maxc * n
     max_len = complete_len if query.max_len is None else min(query.max_len, complete_len)
-    edge = [[False] * n for _ in range(n)]
+    index = {v: i for i, v in enumerate(letters)}
+    adj = [0] * n
     for u, v in g.edges:
-        i, j = letters.index(u), letters.index(v)
-        edge[i][j] = edge[j][i] = True
-    nonedge_pairs = sum(
-        1 for i in range(n) for j in range(i + 1, n) if not edge[i][j]
-    )
+        i, j = index[u], index[v]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    nonedge_pairs = n * (n - 1) // 2 - len(g.edges)
     for length in range(n, max_len + 1):
-        witness = _search_exact_length(letters, edge, maxc, length, local_k, nonedge_pairs)
+        witness = _search_exact_length(letters, adj, maxc, length, local_k, nonedge_pairs)
         if witness is not None:
             return True, make_word(witness)
     if max_len < complete_len:
@@ -168,23 +167,29 @@ def decide_membership(
 
 def _search_exact_length(
     letters: list[str],
-    edge: list[list[bool]],
+    adj: list[int],
     maxc: int,
     length: int,
     local_k: int | None,
     undoubled_nonedges: int,
 ) -> list[str] | None:
     """Depth-first lexicographic search for one representing word of the
-    exact target length; see decide_membership for the pruning rules."""
+    exact target length; see decide_membership for the pruning rules.
+
+    Letter sets are bitmasks over letter indices. The {c, d} projection
+    ends in c exactly when c has occurred and d has not occurred since, so
+    since[c], the letters seen after c's last occurrence (all of them while
+    c is unused), is the whole pair state of c. doubled[c] holds the letters
+    whose projection with c has repeated a letter, scarce the letters with
+    at most one copy left.
+    """
     n = len(letters)
+    full = (1 << n) - 1
     used = [0] * n
     word: list[int] = []
-    # pair state, kept in full symmetric form for O(1) access
-    last = [[-1] * n for _ in range(n)]
-    doubled = [[False] * n for _ in range(n)]
 
-    def dfs(pos: int, zeros: int, capacity: int, pending: int) -> bool:
-        if pos == length:
+    def dfs(zeros: int, pending: int, since: list[int], doubled: list[int], scarce: int) -> bool:
+        if len(word) == length:
             if pending != 0:
                 return False
             if local_k is not None:
@@ -192,55 +197,40 @@ def _search_exact_length(
                 if not is_k_local(candidate, local_k):
                     return False
             return True
-        slots = length - pos - 1
+        slots = length - len(word) - 1
         for c in range(n):
             if used[c] == maxc:
                 continue
-            row_last = last[c]
-            row_edge = edge[c]
-            ok = True
-            for d in range(n):
-                if d != c and row_last[d] == c and row_edge[d]:
-                    ok = False
-                    break
-            if not ok:
+            bit = 1 << c
+            # pairs whose projection would repeat c
+            stale = full & ~since[c] & ~bit
+            if stale & adj[c]:
                 continue
             new_zeros = zeros - (1 if used[c] == 0 else 0)
-            if new_zeros > slots or capacity - 1 < slots:
+            if new_zeros > slots:
                 continue
-            saves = []
-            new_pending = pending
-            row_doubled = doubled[c]
-            for d in range(n):
-                if d == c:
-                    continue
-                saves.append((d, row_last[d], row_doubled[d]))
-                if row_last[d] == c and not row_doubled[d]:
-                    row_doubled[d] = doubled[d][c] = True
-                    new_pending -= 1
-                row_last[d] = last[d][c] = c
+            fresh = stale & ~doubled[c]
+            new_doubled = doubled
+            if fresh:
+                new_doubled = doubled.copy()
+                new_doubled[c] |= fresh
+                for d in range(n):
+                    if fresh >> d & 1:
+                        new_doubled[d] |= bit
             used[c] += 1
-            feasible = True
-            remc = maxc - used[c]
-            for d in range(n):
-                if d == c or row_edge[d] or row_doubled[d]:
-                    continue
-                if remc < 1 and maxc - used[d] < 2:
-                    feasible = False
-                    break
-            if feasible:
+            left = maxc - used[c]
+            # a spent c can no longer double its pair with a scarce non-neighbour
+            if left or not ~adj[c] & ~new_doubled[c] & scarce & ~bit:
+                new_since = [s | bit for s in since]
+                new_since[c] = 0
+                new_scarce = scarce | bit if left < 2 else scarce
                 word.append(c)
-                if dfs(pos + 1, new_zeros, capacity - 1, new_pending):
+                if dfs(new_zeros, pending - fresh.bit_count(), new_since, new_doubled, new_scarce):
                     return True
                 word.pop()
             used[c] -= 1
-            for d, lv, dv in saves:
-                row_last[d] = lv
-                last[d][c] = lv
-                row_doubled[d] = dv
-                doubled[d][c] = dv
         return False
 
-    if dfs(0, n, maxc * n, undoubled_nonedges):
+    if dfs(n, undoubled_nonedges, [full] * n, [0] * n, full if maxc < 2 else 0):
         return [letters[i] for i in word]
     return None

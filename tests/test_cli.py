@@ -115,6 +115,25 @@ def test_decide_missing_file_exits_two(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"nodes": [1, 2], "edges": []}',
+        '{"nodes": [["a"]], "edges": []}',
+        '{"nodes": ["a", "b"], "edges": [["a", ["b"]]]}',
+    ],
+)
+@pytest.mark.parametrize("verb", [["decide", "--class", "R", "--k", "1"], ["threshold"]])
+def test_non_string_node_ids_exit_two(capsys, tmp_path, text, verb):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *verb, "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+
+
 def test_decide_node_budget_exits_three(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("\n".join(f"node {i}" for i in range(1, 8)))

@@ -72,6 +72,24 @@ def test_simulate_marking_profile_and_origins():
     assert trace[2].profile == {"a": (3,), "b": (1,), "n": (2,)}
 
 
+def test_simulate_marking_profiles_match_per_letter_counts():
+    rng = random.Random(59)
+    for _ in range(200):
+        tokens = rng.random() < 0.3
+        pool = ("x1", "y", "zz", "w", "v") if tokens else "abcde"
+        letters = [rng.choice(pool) for _ in range(rng.randrange(1, 20))]
+        word = tuple(letters) if tokens else "".join(letters)
+        sigma = list(set(letters))
+        rng.shuffle(sigma)
+        for t in simulate_marking(word, sigma):
+            # oracle: count each letter separately over every block's span
+            expected = {
+                x: tuple(sum(1 for p in range(lo - 1, hi) if word[p] == x) for lo, hi in t.blocks)
+                for x in sorted(set(letters))
+            }
+            assert list(t.profile.items()) == list(expected.items()), (word, sigma, t.stage_index)
+
+
 def test_simulate_marking_rejects_non_permutations():
     with pytest.raises(ValueError):
         simulate_marking("ab", ("a",))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -24,7 +25,7 @@ from wordgraphs import (
     uniformize,
 )
 from wordgraphs.errors import BudgetExceededError
-from wordgraphs.graphs import Graph
+from wordgraphs.graphs import Graph, enumerate_labeled_graphs
 
 
 def random_local_word(rng, max_alpha=4, max_len=12):
@@ -209,6 +210,19 @@ def test_decide_agrees_with_brute_force():
         assert decide_membership(
             MembershipQuery(graph=g, class_kind=kind, k=k)
         ) == brute(g, kind, k)
+
+
+def test_decide_sweep_witnesses_are_pinned():
+    # every answer and witness of the 4-node sweeps, hashed; a faster search
+    # must reproduce them byte for byte
+    lines = []
+    for kind, k in (("R", 1), ("R", 2), ("L", 1), ("L", 2)):
+        for g in enumerate_labeled_graphs(4):
+            member, witness = decide_membership(MembershipQuery(graph=g, class_kind=kind, k=k))
+            lines.append(f"{kind} {k} {g.sorted_edges()} {member} {witness}")
+    assert len(lines) == 256
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert digest == "64a1b7fd3668451efe7620617ef40f9f3794e38e"
 
 
 def test_decide_budgets():
