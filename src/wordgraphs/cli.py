@@ -67,9 +67,14 @@ def _env_budget(name: str, fallback: int) -> int:
 
 
 def _resolve(flag: int | None, env: str, fallback: int) -> int:
-    if flag is not None:
-        return flag
-    return _env_budget(env, fallback)
+    if flag is None:
+        value, source = _env_budget(env, fallback), env
+    else:
+        # every budget flag is named after its variable: WG_BUDGET_LEN is --budget-len
+        value, source = flag, "--" + env[len("WG_"):].lower().replace("_", "-")
+    if value < 0:
+        raise ValueError(f"{source} must be at least 0, got {value}")
+    return value
 
 
 def _word(args: argparse.Namespace) -> str | tuple[str, ...]:
@@ -154,7 +159,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_locality(args) -> int:
     word = _word(args)
-    if args.sigma:
+    if args.sigma is not None:
         sigma = _sigma(args.sigma)
         m = max_block_count(word, sigma)
         if args.json:
@@ -175,7 +180,7 @@ def _cmd_check(args) -> int:
     word = _word(args)
     if args.k < 1:
         raise ValueError(f"need k >= 1, got {args.k}")
-    if args.sigma:
+    if args.sigma is not None:
         sigma = _sigma(args.sigma)
         traces = simulate_marking(word, sigma)
         m = max((t.block_count for t in traces), default=0)

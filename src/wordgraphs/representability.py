@@ -127,9 +127,21 @@ def decide_membership(
     lexicographic order, so the witness is the lexicographically smallest
     among the shortest. A prefix dies as soon as an edge pair repeats a
     letter in its projection, a non-edge pair can no longer pick up a
-    repeat, or some letter can no longer appear. The search space is
-    complete for both classes, so within budget the negative answer is
-    sound; a graph over budget raises instead of guessing.
+    repeat, or some letter can no longer appear. Two cuts skip what
+    theory already refutes:
+
+    - Letters that occur once pairwise alternate, so they form a clique
+      and every word for G has length at least 2n - omega(G); the lengths
+      start there.
+    - Both classes are closed under induced subgraphs. When the shortest
+      length holds no word, each G - v is settled by the same rules,
+      recursively and once per vertex subset, and G is a non-member as
+      soon as one of them is. A subgraph's "no" counts only when its own
+      complete length fits within max_len.
+
+    The search space is complete for both classes, so within budget the
+    negative answer is sound; a graph over budget raises instead of
+    guessing.
     """
     g = query.graph
     k = query.k
@@ -153,16 +165,66 @@ def decide_membership(
         i, j = index[u], index[v]
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    nonedge_pairs = n * (n - 1) // 2 - len(g.edges)
-    for length in range(n, max_len + 1):
-        witness = _search_exact_length(letters, adj, maxc, length, local_k, nonedge_pairs)
-        if witness is not None:
-            return True, make_word(witness)
-    if max_len < complete_len:
-        raise BudgetExceededError(
-            f"no word up to length {max_len}, but only {complete_len} is conclusive"
-        )
-    return False, None
+    refuted: dict[int, bool] = {}
+
+    def settle(keep: int, longest: int) -> list[str] | None:
+        """The witness for the subgraph induced by the vertex bitmask
+        `keep`, or None if it has none; raises if `longest` leaves that
+        open."""
+        sub = [i for i in range(n) if keep >> i & 1]
+        sub_letters = [letters[i] for i in sub]
+        sub_adj = [_compress(adj[i] & keep, sub) for i in sub]
+        m = len(sub)
+        nonedges = m * (m - 1) // 2 - sum(a.bit_count() for a in sub_adj) // 2
+        shortest = 2 * m - _clique_number(sub_adj)
+        for length in range(shortest, longest + 1):
+            witness = _search_exact_length(sub_letters, sub_adj, maxc, length, local_k, nonedges)
+            if witness is not None:
+                return witness
+            # G - v pays only before a longer length, and only when its "no" is
+            # conclusive within max_len
+            if (
+                length == shortest < maxc * m
+                and maxc * (m - 1) <= max_len
+                and any(is_refuted(keep & ~(1 << i)) for i in sub)
+            ):
+                return None
+        if longest < maxc * m:
+            raise BudgetExceededError(
+                f"no word up to length {longest}, but only {maxc * m} is conclusive"
+            )
+        return None
+
+    def is_refuted(keep: int) -> bool:
+        if keep not in refuted:
+            refuted[keep] = settle(keep, maxc * keep.bit_count()) is None
+        return refuted[keep]
+
+    witness = settle((1 << n) - 1, max_len)
+    if witness is None:
+        return False, None
+    return True, make_word(witness)
+
+
+def _compress(mask: int, sub: list[int]) -> int:
+    """`mask` over the positions of `sub` instead of all letter indices."""
+    return sum(1 << j for j, i in enumerate(sub) if mask >> i & 1)
+
+
+def _clique_number(adj: list[int]) -> int:
+    """Size of a largest clique; adj[i] is the neighbour bitmask of node i."""
+    best = 0
+
+    def grow(size: int, candidates: int) -> None:
+        nonlocal best
+        best = max(best, size)
+        while candidates and size + candidates.bit_count() > best:
+            low = candidates & -candidates
+            candidates ^= low
+            grow(size + 1, candidates & adj[low.bit_length() - 1])
+
+    grow(0, (1 << len(adj)) - 1)
+    return best
 
 
 def _search_exact_length(

@@ -3,11 +3,10 @@ single "criterion NN <name>: PASS/FAIL" line; run with -s to see them."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from contextlib import contextmanager
-
-import pytest
 
 from wordgraphs import (
     TWO,
@@ -127,14 +126,18 @@ def test_criterion_04_one_local_equals_threshold():
                 assert graph_of_word(witness) == g
 
 
-@pytest.mark.slow
 def test_criterion_04_one_local_equals_threshold_extended():
     with criterion(4, "one-local-equals-threshold (n=5)"):
+        lines = []
         for g in enumerate_labeled_graphs(5, node_budget=5):
-            member, _ = decide_membership(
+            member, witness = decide_membership(
                 MembershipQuery(graph=g, class_kind="L", k=1, node_budget=5)
             )
             assert member == is_threshold(g), g
+            lines.append(f"L 1 {g.sorted_edges()} {member} {witness}")
+        # a faster search must reproduce every witness byte for byte
+        digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+        assert digest == "8238e5bb279729aebc4c827fa58ccd539cc30aee"
 
 
 def test_criterion_05_oversized_letters_never_alternate():

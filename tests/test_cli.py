@@ -163,6 +163,54 @@ def test_bad_env_budget_exits_two(capsys, monkeypatch):
     assert "WG_BUDGET_LETTERS" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("locality", "a", "--sigma", ""), ("check", "ab", "--k", "1", "--sigma", "")],
+)
+def test_empty_sigma_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "marking sequence" in err
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize(
+    "verb, flag",
+    [
+        (("locality", "abc"), "--budget-letters"),
+        (("check", "abc", "--k", "1"), "--budget-letters"),
+        (("decide", "--graph", "GRAPH", "--class", "L", "--k", "1"), "--budget-nodes"),
+        (("decide", "--graph", "GRAPH", "--class", "L", "--k", "1"), "--budget-len"),
+        (("threshold", "--graph", "GRAPH"), "--budget-nodes"),
+        (("speed", "--class", "L", "--k", "1", "--n", "3"), "--budget-nodes"),
+        (("speed", "--class", "L", "--k", "1", "--n", "3"), "--budget-len"),
+    ],
+)
+def test_negative_budget_exits_two(capsys, tmp_path, monkeypatch, verb, flag, via):
+    path = tmp_path / "g.txt"
+    path.write_text("1 2\n3 4\n")
+    argv = [str(path) if arg == "GRAPH" else arg for arg in verb]
+    env = "WG_" + flag[2:].upper().replace("-", "_")
+    if via == "flag":
+        argv += [flag, "-1"]
+        name = flag
+    else:
+        monkeypatch.setenv(env, "-1")
+        name = env
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert name in err
+
+
+def test_zero_budget_len_means_no_cap(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("1 2\n3 4\n")
+    code, _, _ = run(capsys, "decide", "--graph", str(path), "--class", "L", "--k", "1", "--budget-len", "0")
+    assert code == 1
+
+
 def test_gen_and_fixture(capsys):
     code, out, _ = run(capsys, "gen", "path", "3")
     assert code == 0

@@ -8,6 +8,7 @@ import pytest
 
 from wordgraphs import (
     MembershipQuery,
+    adjacency,
     clique_partition_graph,
     complete_graph,
     decide_membership,
@@ -26,6 +27,7 @@ from wordgraphs import (
 )
 from wordgraphs.errors import BudgetExceededError
 from wordgraphs.graphs import Graph, enumerate_labeled_graphs
+from wordgraphs.representability import _clique_number
 
 
 def random_local_word(rng, max_alpha=4, max_len=12):
@@ -223,6 +225,45 @@ def test_decide_sweep_witnesses_are_pinned():
     assert len(lines) == 256
     digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
     assert digest == "64a1b7fd3668451efe7620617ef40f9f3794e38e"
+
+
+def test_decide_five_node_sweep_witnesses_are_pinned():
+    # every answer and witness of the 5-node R,2 and L,2 sweeps, hashed; a
+    # faster search must reproduce them byte for byte
+    lines = []
+    for kind, k in (("R", 2), ("L", 2)):
+        for g in enumerate_labeled_graphs(5):
+            member, witness = decide_membership(MembershipQuery(graph=g, class_kind=kind, k=k))
+            lines.append(f"{kind} {k} {g.sorted_edges()} {member} {witness}")
+    assert len(lines) == 2048
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert digest == "c04089b1b7e9ad1265ca039aa5f2299d2a0b36ef"
+
+
+def test_clique_number_matches_brute_force():
+    for g in enumerate_labeled_graphs(5):
+        nodes = g.sorted_nodes()
+        neighbours = adjacency(g)
+        masks = [sum(1 << j for j, v in enumerate(nodes) if v in neighbours[u]) for u in nodes]
+        brute = max(
+            size
+            for size in range(len(nodes) + 1)
+            for clique in itertools.combinations(nodes, size)
+            if all(v in neighbours[u] for u, v in itertools.combinations(clique, 2))
+        )
+        assert _clique_number(masks) == brute, g
+    assert _clique_number([]) == 0
+
+
+def test_decide_budget_counts_only_conclusive_subgraph_refutations():
+    # 2K2 plus an isolated vertex: the 2K2 is refuted only by searching words
+    # up to its complete length 8, so a cap of 7 cannot settle it
+    g = Graph(["1", "2", "3", "4", "5"], [("1", "2"), ("3", "4")])
+    with pytest.raises(BudgetExceededError):
+        decide_membership(MembershipQuery(graph=g, class_kind="L", k=1, max_len=7))
+    assert decide_membership(
+        MembershipQuery(graph=g, class_kind="L", k=1, max_len=8)
+    ) == (False, None)
 
 
 def test_decide_budgets():
