@@ -10,8 +10,9 @@ single node not yet wired into the rest.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Any, Sequence, Union as TypeUnion
+from typing import Any, NamedTuple, Sequence, Union as TypeUnion
 
 from .graphs import Graph, adjacency
 from .locality import (
@@ -69,52 +70,66 @@ class LabeledGraph:
     labels: dict[str, Any]
 
 
+def _parts(node: CwdExpression) -> tuple[str, tuple, tuple, tuple]:
+    """(head, labels, node ids, children): the one place that knows the node kinds.
+
+    Every class lists its fields in that order, so
+    cls(*labels, *ids, *children) rebuilds the node.
+    """
+    if isinstance(node, Create):
+        return "create", (node.label,), (node.node,), ()
+    if isinstance(node, Union):
+        return "union", (), (), (node.left, node.right)
+    if isinstance(node, Connect):
+        return "connect", (node.first, node.second), (), (node.child,)
+    if isinstance(node, Rename):
+        return "rename", (node.old, node.new), (), (node.child,)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _postorder(expr: CwdExpression) -> list[CwdExpression]:
+    """The nodes of expr, children before parents and left before right."""
+    order, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(_parts(node)[3])
+    return order[::-1]
+
+
 def eval_expression(expr: CwdExpression) -> LabeledGraph:
     """Bottom-up evaluation. Rejects a node id created more than once."""
-    nodes, edges, labels = _eval(expr)
+    done: list[tuple[set[str], set[tuple[str, str]], dict[str, Any]]] = []
+    for node in _postorder(expr):
+        if isinstance(node, Create):
+            done.append(({node.node}, set(), {node.node: node.label}))
+        elif isinstance(node, Union):
+            nodes, edges, labels = done.pop()
+            ln, le, ll = done[-1]
+            clash = ln & nodes
+            if clash:
+                raise ValueError(f"node(s) {sorted(clash)!r} created on both sides of a union")
+            ln |= nodes
+            le |= edges
+            ll.update(labels)
+        elif isinstance(node, Connect):
+            _, edges, labels = done[-1]
+            firsts = [v for v, l in labels.items() if l == node.first]
+            seconds = [v for v, l in labels.items() if l == node.second]
+            for u in firsts:
+                for v in seconds:
+                    edges.add((u, v) if u < v else (v, u))
+        else:
+            labels = done[-1][2]
+            for v, l in labels.items():
+                if l == node.old:
+                    labels[v] = node.new
+    nodes, edges, labels = done.pop()
     return LabeledGraph(Graph(nodes, edges), labels)
 
 
-def _eval(expr: CwdExpression) -> tuple[set[str], set[tuple[str, str]], dict[str, Any]]:
-    if isinstance(expr, Create):
-        return {expr.node}, set(), {expr.node: expr.label}
-    if isinstance(expr, Union):
-        ln, le, ll = _eval(expr.left)
-        rn, re, rl = _eval(expr.right)
-        clash = ln & rn
-        if clash:
-            raise ValueError(f"node(s) {sorted(clash)!r} created on both sides of a union")
-        ln |= rn
-        le |= re
-        ll.update(rl)
-        return ln, le, ll
-    if isinstance(expr, Connect):
-        nodes, edges, labels = _eval(expr.child)
-        firsts = [v for v, l in labels.items() if l == expr.first]
-        seconds = [v for v, l in labels.items() if l == expr.second]
-        for u in firsts:
-            for v in seconds:
-                edges.add((u, v) if u < v else (v, u))
-        return nodes, edges, labels
-    if isinstance(expr, Rename):
-        nodes, edges, labels = _eval(expr.child)
-        for v, l in labels.items():
-            if l == expr.old:
-                labels[v] = expr.new
-        return nodes, edges, labels
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 def labels_used(expr: CwdExpression) -> frozenset:
-    if isinstance(expr, Create):
-        return frozenset((expr.label,))
-    if isinstance(expr, Union):
-        return labels_used(expr.left) | labels_used(expr.right)
-    if isinstance(expr, Connect):
-        return labels_used(expr.child) | {expr.first, expr.second}
-    if isinstance(expr, Rename):
-        return labels_used(expr.child) | {expr.old, expr.new}
-    raise TypeError(f"not an expression node: {expr!r}")
+    return frozenset(l for node in _postorder(expr) for l in _parts(node)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -149,97 +164,77 @@ def _quote(s: str) -> str:
 
 
 def serialize(expr: CwdExpression) -> str:
-    if isinstance(expr, Create):
-        return f"(create {_label_text(expr.label)} {_quote(expr.node)})"
-    if isinstance(expr, Union):
-        return f"(union {serialize(expr.left)} {serialize(expr.right)})"
-    if isinstance(expr, Connect):
-        return (
-            f"(connect {_label_text(expr.first)} {_label_text(expr.second)} "
-            f"{serialize(expr.child)})"
-        )
-    if isinstance(expr, Rename):
-        return (
-            f"(rename {_label_text(expr.old)} {_label_text(expr.new)} "
-            f"{serialize(expr.child)})"
-        )
-    raise TypeError(f"not an expression node: {expr!r}")
+    out: list[str] = []
+    stack: list[CwdExpression | str] = [expr]  # nodes still to write and closing text
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        head, labels, ids, children = _parts(item)
+        out.append(" ".join(["(" + head, *map(_label_text, labels), *map(_quote, ids)]))
+        stack.append(")")
+        for child in reversed(children):
+            stack += (child, " ")
+    return "".join(out)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "(", ")", "atom", "string"
     text: str
-    line: int
-    column: int
+    offset: int
+
+
+# Some alternative matches at every offset. A string whose longest valid
+# prefix stops short of its closing quote leaves the third group empty.
+_TOKENS = re.compile(r'\s+|([()])|"((?:[^"\\\n]|\\["\\])*)("?)|([^\s()"]+)')
+_ESCAPE = re.compile(r"\\(.)")
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-        elif ch.isspace():
-            column += 1
-            i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, ch, line, column))
-            column += 1
-            i += 1
-        elif ch == '"':
-            start_line, start_col = line, column
-            i += 1
-            column += 1
-            out = []
-            while True:
-                if i >= len(text):
-                    raise ParseError("unterminated string", start_line, start_col)
-                ch = text[i]
-                if ch == "\\":
-                    if i + 1 >= len(text) or text[i + 1] not in '"\\':
-                        raise ParseError("bad escape in string", line, column)
-                    out.append(text[i + 1])
-                    i += 2
-                    column += 2
-                elif ch == '"':
-                    i += 1
-                    column += 1
-                    break
-                elif ch == "\n":
-                    raise ParseError("newline inside string", line, column)
-                else:
-                    out.append(ch)
-                    i += 1
-                    column += 1
-            tokens.append(_Token("string", "".join(out), start_line, start_col))
-        else:
-            start_line, start_col = line, column
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in '()"':
-                j += 1
-            tokens.append(_Token("atom", text[i:j], start_line, start_col))
-            column += j - i
-            i = j
+    for m in _TOKENS.finditer(text):
+        paren, body, closed, atom = m.groups()
+        if paren or atom:
+            tokens.append(_Token(paren or "atom", paren or atom, m.start()))
+        elif closed:
+            tokens.append(_Token("string", _ESCAPE.sub(r"\1", body), m.start()))
+        elif body is not None:
+            stop = m.end()
+            if stop == len(text):
+                raise ParseError("unterminated string", *_position(text, m.start()))
+            message = "bad escape in string" if text[stop] == "\\" else "newline inside string"
+            raise ParseError(message, *_position(text, stop))
     return tokens
 
 
+# head -> (class, labels, node ids, children), counted in field order
+_FORMS = {
+    "create": (Create, 1, 1, 0),
+    "union": (Union, 0, 0, 2),
+    "connect": (Connect, 2, 0, 1),
+    "rename": (Rename, 2, 0, 1),
+}
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
+
+    def at(self, token: _Token, message: str) -> ParseError:
+        return ParseError(message, *_position(self.text, token.offset))
 
     def error(self, message: str) -> ParseError:
         if self.pos < len(self.tokens):
-            t = self.tokens[self.pos]
-            return ParseError(message, t.line, t.column)
+            return self.at(self.tokens[self.pos], message)
         if self.tokens:
-            t = self.tokens[-1]
-            return ParseError(message + " (at end of input)", t.line, t.column)
+            return self.at(self.tokens[-1], message + " (at end of input)")
         return ParseError(message + " (empty input)", 1, 1)
 
     def take(self, kind: str) -> _Token:
@@ -258,14 +253,14 @@ class _Parser:
         if self.peek_kind() == "atom":
             t = self.take("atom")
             if t.text != "two":
-                raise ParseError(f"expected a label, got {t.text!r}", t.line, t.column)
+                raise self.at(t, f"expected a label, got {t.text!r}")
             return TWO
         self.take("(")
         bits = []
         while self.peek_kind() == "atom":
             t = self.take("atom")
             if t.text not in ("0", "1"):
-                raise ParseError(f"expected bit 0 or 1, got {t.text!r}", t.line, t.column)
+                raise self.at(t, f"expected bit 0 or 1, got {t.text!r}")
             bits.append(int(t.text))
         self.take(")")
         if not bits:
@@ -273,37 +268,30 @@ class _Parser:
         return tuple(bits)
 
     def expr(self) -> CwdExpression:
-        self.take("(")
-        head = self.take("atom")
-        if head.text == "create":
-            label = self.label()
-            node = self.take("string").text
-            out: CwdExpression = Create(label, node)
-        elif head.text == "union":
-            out = Union(self.expr(), self.expr())
-        elif head.text == "connect":
-            first = self.label()
-            second = self.label()
-            child = self.expr()
-            if first == second:
-                raise ParseError(
-                    "connect needs two distinct labels", head.line, head.column
-                )
-            out = Connect(first, second, child)
-        elif head.text == "rename":
-            out = Rename(self.label(), self.label(), self.expr())
-        else:
-            raise ParseError(
-                f"expected create/union/connect/rename, got {head.text!r}",
-                head.line,
-                head.column,
-            )
-        self.take(")")
-        return out
+        open_forms = []  # (head token, class, fields read so far, field count)
+        while True:
+            self.take("(")
+            head = self.take("atom")
+            if head.text not in _FORMS:
+                raise self.at(head, f"expected create/union/connect/rename, got {head.text!r}")
+            cls, labels, ids, children = _FORMS[head.text]
+            fields = [self.label() for _ in range(labels)]
+            fields += [self.take("string").text for _ in range(ids)]
+            open_forms.append((head, cls, fields, labels + ids + children))
+            while len(open_forms[-1][2]) == open_forms[-1][3]:
+                head, cls, fields, _ = open_forms.pop()
+                try:
+                    node = cls(*fields)
+                except ValueError:  # only Connect checks its fields
+                    raise self.at(head, "connect needs two distinct labels") from None
+                self.take(")")
+                if not open_forms:
+                    return node
+                open_forms[-1][2].append(node)
 
 
 def parse(text: str) -> CwdExpression:
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     expr = parser.expr()
     if parser.pos != len(parser.tokens):
         raise parser.error("trailing input after expression")

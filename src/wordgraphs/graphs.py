@@ -217,22 +217,14 @@ _FIXTURE_EDGES: dict[str, tuple[tuple[str, str], ...]] = {
     ),
 }
 
-_FIXTURE_NODES: dict[str, tuple[str, ...]] = {
-    "C4": ("1", "2", "3", "4"),
-    "2K2": ("1", "2", "3", "4"),
-    "P4": ("1", "2", "3", "4"),
-    "K4": ("a", "b", "c", "d"),
-    "E02": ("1", "2", "3", "4", "5", "6", "7"),
-    "E11": ("1", "2", "3", "4", "5", "6", "7"),
-}
-
 
 def fixture(name: str) -> Graph:
     key = name.upper()
     if key not in _FIXTURE_EDGES:
         known = ", ".join(sorted(_FIXTURE_EDGES))
         raise ValueError(f"unknown fixture {name!r}; known: {known}")
-    return Graph(_FIXTURE_NODES[key], _FIXTURE_EDGES[key])
+    edges = _FIXTURE_EDGES[key]
+    return Graph(frozenset(v for e in edges for v in e), edges)
 
 
 def fixture_names() -> list[str]:

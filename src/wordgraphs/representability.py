@@ -149,6 +149,9 @@ def decide_membership(
         raise ValueError(f"need k >= 1, got {k}")
     if query.class_kind not in ("L", "R"):
         raise ValueError(f'class_kind must be "L" or "R", got {query.class_kind!r}')
+    for field in ("node_budget", "max_len"):
+        if (getattr(query, field) or 0) < 0:
+            raise ValueError(f"{field} must be >= 0, got {getattr(query, field)}")
     n = len(g.nodes)
     if n > query.node_budget:
         raise BudgetExceededError(f"graph has {n} nodes, budget is {query.node_budget}")

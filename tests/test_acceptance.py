@@ -213,6 +213,7 @@ def test_criterion_08_clique_partition_lower_bound():
 def test_criterion_09_expression_corpus():
     with criterion(9, "expression-corpus"):
         count = 0
+        texts = hashlib.sha1()
         for n in range(1, 8):
             for combo in itertools.product("abc", repeat=n):
                 word = "".join(combo)
@@ -223,8 +224,11 @@ def test_criterion_09_expression_corpus():
                     raise AssertionError(f"rename cycle for {word!r}")
                 assert len(labels_used(expr)) <= 2 ** k + 1, word
                 assert eval_expression(expr).graph == graph_of_word(word), word
+                texts.update((serialize(expr) + "\n").encode())
                 count += 1
         assert count == 3279
+        # every expression's text, in loop order, as the recursive writer gave it
+        assert texts.hexdigest() == "772609e165cd32ac6f4515765a428d5dae2f3bf0"
 
 
 def test_criterion_10_projection_hereditarity():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -285,6 +286,47 @@ def test_cwd_eval_parse_error_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "cwd", "eval", str(path))
     assert code == 2
     assert "parse error at line 1" in err
+
+
+def _five_cliques(letters):
+    names = [f"v{i}" for i in range(letters)]
+    return [names[i : i + 5] for i in range(0, letters, 5)]
+
+
+def test_cwd_verify_deep_clique_word(capsys):
+    # A1..Am Am..A1 marked innermost part first is 2-local; the expression
+    # nests about three levels per letter, 1,200 here
+    parts = _five_cliques(400)
+    word = [x for part in parts for x in part] + [x for part in parts[::-1] for x in part]
+    sigma = ",".join(x for part in parts[::-1] for x in part)
+    code, out, _ = run(capsys, "cwd", "verify", " ".join(word), "--tokens",
+                       "--sigma", sigma, "--k", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["matches"] is True
+
+
+def test_cwd_eval_deep_clique_expression(capsys, tmp_path):
+    # each node enters as (1 0), is joined to its clique so far (0 1) and
+    # joins it; a finished clique becomes two
+    parts = _five_cliques(600)
+    text = None
+    for part in parts:
+        for i, v in enumerate(part):
+            leaf = f'(create (1 0) "{v}")'
+            text = leaf if text is None else f"(union {leaf} {text})"
+            if i:
+                text = f"(connect (1 0) (0 1) {text})"
+            text = f"(rename (1 0) (0 1) {text})"
+        text = f"(rename (0 1) two {text})"
+    path = tmp_path / "deep.cwd"
+    path.write_text(text)
+    code, out, _ = run(capsys, "cwd", "eval", str(path), "--json")
+    assert code == 0
+    out = json.loads(out)
+    nodes = sorted(x for part in parts for x in part)
+    edges = sorted(sorted(pair) for part in parts for pair in itertools.combinations(part, 2))
+    assert out["graph"] == {"nodes": nodes, "edges": edges}
+    assert out["labels"] == {x: "2" for x in nodes}
 
 
 def test_cwd_build_rejects_insufficient_k(capsys):

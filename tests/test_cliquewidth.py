@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -132,6 +133,71 @@ def test_parse_error_positions():
         parse("(connect (1) (1) (create (1) \"x\"))")
     with pytest.raises(ParseError):
         parse("(create () \"x\")")
+
+
+def test_deep_expression_round_trip():
+    # far deeper than the interpreter's recursion limit; compared by text,
+    # because the dataclass == recurses
+    expr = Union(Create((0,), "a"), Create((1,), "b"))
+    for i in range(20000):
+        expr = Rename((1,), (0,), expr) if i % 2 == 0 else Rename((0,), (1,), expr)
+    text = serialize(expr)
+    assert text == (
+        "(rename (0) (1) (rename (1) (0) " * 10000
+        + '(union (create (0) "a") (create (1) "b"))'
+        + ")" * 20000
+    )
+    assert serialize(parse(text)) == text
+    assert labels_used(expr) == {(0,), (1,)}
+    out = eval_expression(expr)
+    assert out.graph == Graph(frozenset("ab"), frozenset())
+    assert out.labels == {"a": (1,), "b": (1,)}
+
+
+def _malformed_corpus():
+    rng = random.Random(43)
+    texts = [
+        "", " ", "(", ")", "((", "())", "(union", "(union)", "(create)",
+        '(create (1) "a"', '(create (1) "a"))', '(create (1) "a") (create (0) "b")',
+        '(create (1) "a") junk', '(union (create (1) "a"))', '(frob (1) "a")', '("x")',
+        '(create (2) "a")', '(create () "a")', '(create three "a")', '(create (1 x) "a")',
+        '(create 1 "a")', '(create (1 "a")', '(create (1) a)', '(create (1) "a" "b")',
+        '(connect (1) (1) (create (1) "a"))', '(connect (1) (1) (create (1) "a")',
+        '(connect (1) (create (1) "a"))', '(rename two (create (1) "a"))',
+        '(create (1) "a\\q")', '(create (1) "a\\', '(create (1) "a\\\n")',
+        '(create (1) "a\nb")', '\n\n  (create (1) "a', '(create (1) "a\\"',
+        '(create\n(1)\n"a")\n)', '(create (1) "a")\n\n  x',
+    ]
+    alphabet = ["(", ")", '"', "\\", " ", "\n", "\t", "0", "1", "2", "two", "x", "union"]
+    valid = [serialize(build_expression(w, locality(w)[1], 3)) for w in ("banana", "bacaba")]
+    for _ in range(400):
+        text = list(rng.choice(valid))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text))
+            edit = rng.randrange(3)
+            if edit == 0:
+                del text[i]
+            elif edit == 1:
+                text.insert(i, rng.choice(alphabet))
+            else:
+                text[i] = rng.choice(alphabet)
+        texts.append("".join(text))
+    return texts
+
+
+def test_parse_error_corpus_is_pinned():
+    lines = []
+    for text in _malformed_corpus():
+        try:
+            parse(text)
+            message = None
+        except ParseError as err:
+            message = str(err)
+        lines.append(repr((text, message)))
+    assert (len(lines), sum(not line.endswith(", None)") for line in lines)) == (436, 394)
+    # computed with the recursive reader and its character scanner
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert digest == "99bdaca2399cc1cdc095f889903e21b98b4d70a9"
 
 
 def test_schedule_renames_chain_order():

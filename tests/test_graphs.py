@@ -94,10 +94,12 @@ def test_fixtures_present():
     assert fixture("c4") == fixture("C4")
     with pytest.raises(ValueError):
         fixture("nope")
-    e02 = fixture("E02")
-    assert len(e02.nodes) == 7 and len(e02.edges) == 15
-    e11 = fixture("E11")
-    assert len(e11.nodes) == 7 and len(e11.edges) == 12
+    four, seven = set("1234"), set("1234567")
+    assert {name: set(fixture(name).nodes) for name in names} == {
+        "C4": four, "2K2": four, "P4": four, "K4": set("abcd"), "E02": seven, "E11": seven,
+    }
+    assert len(fixture("E02").edges) == 15
+    assert len(fixture("E11").edges) == 12
 
 
 def test_json_round_trip():

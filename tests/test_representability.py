@@ -284,6 +284,22 @@ def test_decide_budgets():
     assert ok and witness == "11223"
 
 
+@pytest.mark.parametrize("field", ["node_budget", "max_len"])
+@pytest.mark.parametrize("n", [0, 2])
+def test_decide_rejects_negative_budgets(field, n):
+    query = MembershipQuery(graph=empty_graph(n), class_kind="R", k=2, **{field: -1})
+    with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+        decide_membership(query)
+
+
+def test_decide_zero_max_len_is_a_cap():
+    with pytest.raises(BudgetExceededError):
+        decide_membership(MembershipQuery(graph=empty_graph(2), class_kind="R", k=2, max_len=0))
+    assert decide_membership(
+        MembershipQuery(graph=empty_graph(0), class_kind="R", k=2, max_len=0)
+    ) == (True, "")
+
+
 def test_decide_rejects_bad_queries():
     with pytest.raises(ValueError):
         decide_membership(MembershipQuery(graph=empty_graph(1), class_kind="X", k=1))
