@@ -28,7 +28,6 @@ from .graphs import (
     crown_graph,
     cycle_graph,
     empty_graph,
-    enumerate_labeled_graphs,
     fixture,
     graph_from_text,
     is_threshold,
@@ -37,6 +36,7 @@ from .graphs import (
     to_edge_list_text,
     to_json_dict,
     to_json_text,
+    _graph_classes,
 )
 from .locality import (
     LETTER_BUDGET_DEFAULT,
@@ -397,14 +397,19 @@ def _cmd_cwd_verify(args) -> int:
 
 
 def _cmd_speed(args) -> int:
+    """Count the labeled n-node graphs in the class.
+
+    Membership is invariant under isomorphism, so one graph per class is
+    decided and counted with the number of labeled graphs in its class.
+    """
     node_budget = _resolve(args.budget_nodes, "WG_BUDGET_NODES", ENUMERATION_BUDGET_DEFAULT)
     max_len = _resolve(args.budget_len, "WG_BUDGET_LEN", 0) or None
     crosscheck = args.class_kind == "L" and args.k == 1
     count = 0
     total = 0
     threshold_count = 0
-    for g in enumerate_labeled_graphs(args.n, node_budget=node_budget):
-        total += 1
+    for g, labeled in _graph_classes(args.n, node_budget=node_budget):
+        total += labeled
         query = MembershipQuery(
             graph=g,
             class_kind=args.class_kind,
@@ -414,9 +419,12 @@ def _cmd_speed(args) -> int:
         )
         member, _ = decide_membership(query)
         if member:
-            count += 1
+            count += labeled
         if crosscheck and is_threshold(g):
-            threshold_count += 1
+            threshold_count += labeled
+    pairs = args.n * (args.n - 1) // 2
+    if total != 1 << pairs:
+        raise RuntimeError(f"internal: the classes hold {total} labeled graphs, not 2^{pairs}")
     if crosscheck and count != threshold_count:
         raise RuntimeError(
             f"internal: decide count {count} disagrees with threshold count {threshold_count}"

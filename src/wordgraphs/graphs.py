@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from math import factorial
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
 
@@ -241,36 +242,86 @@ def induced_subgraph(g: Graph, keep: Iterable[str]) -> Graph:
     return Graph(members, (e for e in g.edges if e[0] in members and e[1] in members))
 
 
-def _isomorphic(g: Graph, h: Graph) -> bool:
-    if len(g.nodes) != len(h.nodes) or len(g.edges) != len(h.edges):
-        return False
-    gadj = adjacency(g)
-    hadj = adjacency(h)
-    if sorted(len(ns) for ns in gadj.values()) != sorted(len(ns) for ns in hadj.values()):
-        return False
-    # highest degree first keeps the backtracking shallow
-    hnodes = sorted(h.nodes, key=lambda v: (-len(hadj[v]), v))
-    gnodes = sorted(g.nodes)
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
+def _neighbour_masks(g: Graph) -> list[int]:
+    """Bit j of entry i is set when the i-th and j-th sorted nodes are adjacent."""
+    index = {v: i for i, v in enumerate(g.sorted_nodes())}
+    masks = [0] * len(index)
+    for u, v in g.edges:
+        i, j = index[u], index[v]
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
 
-    def extend(i: int) -> bool:
-        if i == len(hnodes):
-            return True
-        hv = hnodes[i]
-        for gv in gnodes:
-            if gv in used or len(gadj[gv]) != len(hadj[hv]):
+
+def _compress(mask: int, sub: Sequence[int]) -> int:
+    """`mask` over the positions of `sub` instead of all node indices."""
+    return sum(1 << j for j, i in enumerate(sub) if mask >> i & 1)
+
+
+def _canonical_form(adj: list[int]) -> tuple[int, int, list[int]]:
+    """(code, automorphisms, order) of the graph with neighbour masks `adj`.
+
+    A cell is a set of vertices with the same (degree, sorted neighbour
+    degrees); cells take consecutive positions in the order of that key.
+    Over the relabelings that keep every vertex among its cell's positions,
+    the code is the smallest edge bitmask, where position p appends a row of
+    p bits below those of the earlier positions, bit i set when positions i
+    and p are adjacent. The key is kept by isomorphisms, so isomorphic
+    graphs get the same code, and the relabelings that reach it are one of
+    them composed with the automorphisms: their count is |Aut|. `order`
+    lists the vertex at each position of one of them.
+
+    The positions are filled one at a time, and a prefix whose rows already
+    exceed the best code's is cut. Of twins, vertices whose transposition is
+    an automorphism, one stands for all that are still free, weighted by
+    their number: the transposition maps one subtree onto the other.
+    """
+    n = len(adj)
+    degree = [a.bit_count() for a in adj]
+    key = [
+        (degree[v], sorted(degree[u] for u in range(n) if adj[v] >> u & 1))
+        for v in range(n)
+    ]
+    by_key = sorted(range(n), key=key.__getitem__)
+    cells = [sum(1 << u for u in range(n) if key[u] == key[v]) for v in by_key]
+    width = n * (n - 1) // 2
+    best = -1
+    count = 0
+    best_order: list[int] = []
+    placed: list[int] = []
+
+    def place(p: int, code: int, free: int, weight: int) -> None:
+        nonlocal best, count, best_order
+        if p == n:
+            if best < 0 or code < best:
+                best, count, best_order = code, weight, placed.copy()
+            elif code == best:
+                count += weight
+            return
+        twins: list[list[int]] = []
+        candidates = cells[p] & free
+        while candidates:
+            v = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
+            for twin in twins:
+                u = twin[0]
+                if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                    twin[1] += 1
+                    break
+            else:
+                twins.append([v, 1])
+        shift = width - p * (p + 1) // 2
+        for v, size in twins:
+            row = sum(1 << i for i, u in enumerate(placed) if adj[v] >> u & 1)
+            prefix = code << p | row
+            if best >= 0 and prefix > best >> shift:
                 continue
-            if all((hu in hadj[hv]) == (gu in gadj[gv]) for hu, gu in mapping.items()):
-                mapping[hv] = gv
-                used.add(gv)
-                if extend(i + 1):
-                    return True
-                del mapping[hv]
-                used.discard(gv)
-        return False
+            placed.append(v)
+            place(p + 1, prefix, free & ~(1 << v), weight * size)
+            placed.pop()
 
-    return extend(0)
+    place(0, 0, (1 << n) - 1, 1)
+    return best, count, best_order
 
 
 def contains_induced(g: Graph, h: Graph, *, node_budget: int = NODE_BUDGET_DEFAULT) -> bool:
@@ -282,10 +333,12 @@ def contains_induced(g: Graph, h: Graph, *, node_budget: int = NODE_BUDGET_DEFAU
     size = len(h.nodes)
     if size > len(g.nodes):
         return False
-    for subset in combinations(g.sorted_nodes(), size):
-        if _isomorphic(induced_subgraph(g, subset), h):
-            return True
-    return False
+    target = _canonical_form(_neighbour_masks(h))[0]
+    adj = _neighbour_masks(g)
+    return any(
+        _canonical_form([_compress(adj[i], sub) for i in sub])[0] == target
+        for sub in combinations(range(len(adj)), size)
+    )
 
 
 def is_threshold(g: Graph) -> bool:
@@ -416,15 +469,55 @@ def set_partitions(items: Iterable) -> Iterator[tuple[tuple, ...]]:
     yield from rec(0, [])
 
 
-def enumerate_labeled_graphs(
-    n: int, *, node_budget: int = ENUMERATION_BUDGET_DEFAULT
-) -> Iterator[Graph]:
-    """All 2^(n choose 2) graphs on nodes "1".."n", in binary-counter order."""
+def _enumeration_nodes(n: int, node_budget: int) -> list[str]:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if n > node_budget:
         raise BudgetExceededError(f"{n} nodes exceeds the enumeration budget {node_budget}")
-    nodes = _int_nodes(n)
+    return _int_nodes(n)
+
+
+def enumerate_labeled_graphs(
+    n: int, *, node_budget: int = ENUMERATION_BUDGET_DEFAULT
+) -> Iterator[Graph]:
+    """All 2^(n choose 2) graphs on nodes "1".."n", in binary-counter order.
+
+    `wg speed` works on isomorphism classes (`_graph_classes`); this labeled
+    enumeration is the oracle its tests compare against.
+    """
+    nodes = _enumeration_nodes(n, node_budget)
     pairs = sorted(combinations(sorted(nodes), 2))
     for mask in range(1 << len(pairs)):
         yield Graph(nodes, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+
+
+def _graph_classes(
+    n: int, *, node_budget: int = ENUMERATION_BUDGET_DEFAULT
+) -> Iterator[tuple[Graph, int]]:
+    """One graph per isomorphism class on nodes "1".."n", with the number
+    of labeled graphs in its class, n!/|Aut|; the numbers add up to
+    2^(n choose 2).
+
+    The classes on m nodes are grown from those on m - 1 by joining a new
+    vertex to every subset of the old ones, and deduplicated by
+    `_canonical_form`. Each class is yielded in its canonical labeling, in
+    ascending order of its code.
+    """
+    nodes = _enumeration_nodes(n, node_budget)
+    classes: dict[int, tuple[list[int], int]] = {0: ([], 1)}
+    for m in range(1, n + 1):
+        grown: dict[int, tuple[list[int], int]] = {}
+        new = m - 1
+        for adj, _ in classes.values():
+            for joined in range(1 << new):
+                masks = [a | (joined >> i & 1) << new for i, a in enumerate(adj)]
+                masks.append(joined)
+                code, automorphisms, order = _canonical_form(masks)
+                if code not in grown:
+                    canonical = [_compress(masks[v], order) for v in order]
+                    grown[code] = (canonical, automorphisms)
+        classes = grown
+    for code in sorted(classes):
+        adj, automorphisms = classes[code]
+        edges = [(nodes[i], nodes[j]) for i in range(n) for j in range(i) if adj[i] >> j & 1]
+        yield Graph(nodes, edges), factorial(n) // automorphisms

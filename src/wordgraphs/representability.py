@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetExceededError
-from .graphs import Graph, _clique_parts, adjacency
+from .graphs import Graph, _clique_parts, _compress, _neighbour_masks, adjacency
 from .locality import (
     LETTER_BUDGET_DEFAULT,
     MarkingSequence,
@@ -162,12 +162,7 @@ def decide_membership(
     local_k = None if query.class_kind == "R" else k
     complete_len = maxc * n
     max_len = complete_len if query.max_len is None else min(query.max_len, complete_len)
-    index = {v: i for i, v in enumerate(letters)}
-    adj = [0] * n
-    for u, v in g.edges:
-        i, j = index[u], index[v]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+    adj = _neighbour_masks(g)
     refuted: dict[int, bool] = {}
 
     def settle(keep: int, longest: int) -> list[str] | None:
@@ -207,11 +202,6 @@ def decide_membership(
     if witness is None:
         return False, None
     return True, make_word(witness)
-
-
-def _compress(mask: int, sub: list[int]) -> int:
-    """`mask` over the positions of `sub` instead of all letter indices."""
-    return sum(1 << j for j, i in enumerate(sub) if mask >> i & 1)
 
 
 def _clique_number(adj: list[int]) -> int:

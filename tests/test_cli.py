@@ -6,6 +6,9 @@ import json
 import pytest
 
 from wordgraphs.cli import main
+from wordgraphs.errors import BudgetExceededError
+from wordgraphs.graphs import enumerate_labeled_graphs, is_threshold
+from wordgraphs.representability import MembershipQuery, decide_membership
 
 
 def run(capsys, *argv):
@@ -350,6 +353,70 @@ def test_speed_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data == {"bell": 5, "class": "R", "count": 1, "k": 1, "n": 3, "total": 8}
+
+
+def _labeled_speed(kind, k, n, max_len=None):
+    """(code, count, threshold count, stderr) of a loop over every labeled graph."""
+    count = threshold_count = 0
+    for g in enumerate_labeled_graphs(n):
+        query = MembershipQuery(graph=g, class_kind=kind, k=k, node_budget=n, max_len=max_len)
+        try:
+            member, _ = decide_membership(query)
+        except BudgetExceededError as exc:
+            return 3, None, None, f"error: {exc}\n"
+        count += member
+        threshold_count += is_threshold(g)
+    return 0, count, threshold_count, ""
+
+
+SPEED_CLASSES = [("R", 1), ("R", 2), ("L", 1), ("L", 2)]
+
+
+@pytest.mark.parametrize("kind, k", SPEED_CLASSES)
+def test_speed_by_classes_matches_the_labeled_loop(capsys, kind, k):
+    for n in range(5):
+        code, out, _ = run(capsys, "speed", "--class", kind, "--k", str(k), "--n", str(n), "--json")
+        _, count, threshold_count, _ = _labeled_speed(kind, k, n)
+        data = json.loads(out)
+        assert (code, data["count"], data["total"]) == (0, count, 2 ** (n * (n - 1) // 2))
+        if (kind, k) == ("L", 1):
+            assert data["threshold_count"] == threshold_count == count
+
+
+@pytest.mark.parametrize("kind, k", SPEED_CLASSES)
+def test_speed_budget_len_matches_the_labeled_loop(capsys, kind, k):
+    complete = 4 * (k if kind == "R" else k + 1)
+    for cap in range(1, complete):
+        code, out, err = run(
+            capsys, "speed", "--class", kind, "--k", str(k), "--n", "4", "--budget-len", str(cap)
+        )
+        expected_code, count, _, expected_err = _labeled_speed(kind, k, 4, cap)
+        assert (code, err) == (expected_code, expected_err), cap
+        if code == 0:
+            assert out.startswith(f"count: {count} of 64 graphs")
+
+
+def test_speed_six_nodes_need_a_budget(capsys):
+    code, out, err = run(capsys, "speed", "--class", "L", "--k", "1", "--n", "6")
+    assert (code, out, err) == (3, "", "error: 6 nodes exceeds the enumeration budget 5\n")
+
+
+@pytest.mark.parametrize(
+    "kind, k, n, count",
+    [
+        ("L", 1, 6, 2874),  # OEIS A005840
+        ("R", 2, 6, 32636),
+        ("L", 2, 6, 32696),
+        pytest.param("L", 1, 7, 29024, marks=pytest.mark.slow),  # OEIS A005840
+        pytest.param("R", 2, 7, 1954100, marks=pytest.mark.slow),
+    ],
+)
+def test_speed_counts_are_pinned(capsys, kind, k, n, count):
+    code, out, _ = run(
+        capsys, "speed", "--class", kind, "--k", str(k), "--n", str(n), "--budget-nodes", str(n), "--json"
+    )
+    data = json.loads(out)
+    assert (code, data["count"], data["total"]) == (0, count, 2 ** (n * (n - 1) // 2))
 
 
 def test_usage_errors_exit_two(capsys):

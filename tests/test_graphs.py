@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import random
+import re
 
 import pytest
 
@@ -32,6 +34,7 @@ from wordgraphs import (
     to_json_text,
 )
 from wordgraphs.errors import BudgetExceededError
+from wordgraphs.graphs import _canonical_form, _graph_classes, _neighbour_masks
 
 
 def graph_on(nodes, edges):
@@ -199,9 +202,20 @@ def test_threshold_small_cases():
 
 
 def test_threshold_elimination_agrees_with_obstruction():
-    for n in range(5):
+    for n in range(6):
         for g in enumerate_labeled_graphs(n):
             assert is_threshold(g) == is_threshold_by_obstruction(g), g
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(10), empty_graph(10), crown_graph(5), cycle_graph(10)],
+    ids=["K10", "E10", "crown5", "C10"],
+)
+def test_contains_induced_itself_at_the_node_budget(g):
+    # large automorphism groups: 10!, 10!, 240 and 20
+    assert contains_induced(g, g)
+    assert not contains_induced(g, path_graph(10))
 
 
 def test_enumerate_labeled_graphs_counts():
@@ -211,6 +225,57 @@ def test_enumerate_labeled_graphs_counts():
     with pytest.raises(BudgetExceededError):
         list(enumerate_labeled_graphs(6))
     assert len(list(enumerate_labeled_graphs(5, node_budget=5))) == 1024
+
+
+CLASS_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]  # OEIS A000088
+
+
+def test_graph_classes_counts():
+    for n, classes in enumerate(CLASS_COUNTS):
+        found = list(_graph_classes(n, node_budget=7))
+        assert len(found) == classes
+        assert sum(labeled for _, labeled in found) == 2 ** (n * (n - 1) // 2)
+        for g, _ in found:
+            assert g.nodes == frozenset(str(i) for i in range(1, n + 1))
+
+
+def test_graph_classes_checks_like_the_labeled_enumeration():
+    for n, budget in ((-1, 5), (6, 5), (4, 3)):
+        with pytest.raises((ValueError, BudgetExceededError)) as labeled:
+            list(enumerate_labeled_graphs(n, node_budget=budget))
+        with pytest.raises(labeled.type, match=f"^{re.escape(str(labeled.value))}$"):
+            list(_graph_classes(n, node_budget=budget))
+
+
+def _brute_force_code(g, n):
+    """Smallest sorted edge tuple over all n! relabelings of g."""
+    edges = [(int(u) - 1, int(v) - 1) for u, v in g.edges]
+    return min(
+        tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def test_graph_classes_match_brute_force_relabeling():
+    for n in range(6):
+        sizes = collections.Counter(_brute_force_code(g, n) for g in enumerate_labeled_graphs(n))
+        found = [(_brute_force_code(g, n), labeled) for g, labeled in _graph_classes(n)]
+        assert len(found) == len(sizes)
+        assert dict(found) == sizes
+
+
+def test_graph_classes_match_the_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    graphs = nx.graph_atlas_g()
+    sizes = collections.Counter(h.number_of_nodes() for h in graphs)
+    assert [sizes[n] for n in range(8)] == CLASS_COUNTS
+    atlas = collections.defaultdict(set)
+    for h in graphs:
+        g = Graph([str(v) for v in h.nodes], [(str(u), str(v)) for u, v in h.edges])
+        atlas[len(g.nodes)].add(_canonical_form(_neighbour_masks(g))[0])
+    for n in range(8):
+        ours = {_canonical_form(_neighbour_masks(g))[0] for g, _ in _graph_classes(n, node_budget=7)}
+        assert ours == atlas[n]
 
 
 def test_bell_numbers():
