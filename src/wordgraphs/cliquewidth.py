@@ -11,16 +11,14 @@ single node not yet wired into the rest.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, NamedTuple, Sequence, Union as TypeUnion
 
 from .graphs import Graph, adjacency
 from .locality import (
     TWO,
     Label,
-    StageTrace,
     block_labels,
-    is_k_local_with,
     label_sort_key,
     simulate_marking,
 )
@@ -31,20 +29,62 @@ class RenameCycleError(RuntimeError):
     """The per-stage relabeling map turned out cyclic; this indicates a bug."""
 
 
-@dataclass(frozen=True)
-class Create:
+class _Node:
+    """==, hash and repr of the node classes, over explicit stacks: any depth."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if isinstance(a, _Node) and a.__class__ is b.__class__:
+                pairs.extend(zip(_values(a), _values(b)))
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        done: list[int] = []  # hashes of the finished subtrees, left to right
+        for node in _postorder(self):
+            head, labels, ids, children = _parts(node)
+            cut = len(done) - len(children)
+            done[cut:] = [hash((head, *labels, *ids, *done[cut:]))]
+        return done[0]
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list[object] = [self]  # nodes still to write and finished text
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, _Node):
+                out.append(item)
+                continue
+            pieces: list[object] = [type(item).__qualname__ + "("]
+            for i, (field, value) in enumerate(zip(fields(item), _values(item))):
+                pieces.append((", " if i else "") + field.name + "=")
+                pieces.append(value if isinstance(value, _Node) else repr(value))
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Create(_Node):
     label: Any
     node: str
 
 
-@dataclass(frozen=True)
-class Union:
+@dataclass(frozen=True, eq=False, repr=False)
+class Union(_Node):
     left: "CwdExpression"
     right: "CwdExpression"
 
 
-@dataclass(frozen=True)
-class Connect:
+@dataclass(frozen=True, eq=False, repr=False)
+class Connect(_Node):
     first: Any
     second: Any
     child: "CwdExpression"
@@ -54,8 +94,8 @@ class Connect:
             raise ValueError(f"connect needs two distinct labels, got {self.first!r}")
 
 
-@dataclass(frozen=True)
-class Rename:
+@dataclass(frozen=True, eq=False, repr=False)
+class Rename(_Node):
     old: Any
     new: Any
     child: "CwdExpression"
@@ -85,6 +125,12 @@ def _parts(node: CwdExpression) -> tuple[str, tuple, tuple, tuple]:
     if isinstance(node, Rename):
         return "rename", (node.old, node.new), (), (node.child,)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _values(node: CwdExpression) -> tuple:
+    """The field values of node, in field order."""
+    _, labels, ids, children = _parts(node)
+    return labels + ids + children
 
 
 def _postorder(expr: CwdExpression) -> list[CwdExpression]:
@@ -138,7 +184,7 @@ def labels_used(expr: CwdExpression) -> frozenset:
 #   expr  := (create LABEL ID) | (union expr expr)
 #          | (connect LABEL LABEL expr) | (rename LABEL LABEL expr)
 #   LABEL := two | ( BIT+ )
-#   ID    := double-quoted string, \" and \\ escaped
+#   ID    := double-quoted string, \", \\ and \n (newline) escaped
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
@@ -160,7 +206,7 @@ def _label_text(label: Any) -> str:
 
 
 def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
 def serialize(expr: CwdExpression) -> str:
@@ -187,8 +233,12 @@ class _Token(NamedTuple):
 
 # Some alternative matches at every offset. A string whose longest valid
 # prefix stops short of its closing quote leaves the third group empty.
-_TOKENS = re.compile(r'\s+|([()])|"((?:[^"\\\n]|\\["\\])*)("?)|([^\s()"]+)')
+_TOKENS = re.compile(r'\s+|([()])|"((?:[^"\\\n]|\\["\\n])*)("?)|([^\s()"]+)')
 _ESCAPE = re.compile(r"\\(.)")
+
+
+def _unescape(m: re.Match) -> str:
+    return "\n" if m[1] == "n" else m[1]
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -202,7 +252,7 @@ def _tokenize(text: str) -> list[_Token]:
         if paren or atom:
             tokens.append(_Token(paren or "atom", paren or atom, m.start()))
         elif closed:
-            tokens.append(_Token("string", _ESCAPE.sub(r"\1", body), m.start()))
+            tokens.append(_Token("string", _ESCAPE.sub(_unescape, body), m.start()))
         elif body is not None:
             stop = m.end()
             if stop == len(text):
@@ -323,45 +373,19 @@ def schedule_renames(mapping: dict) -> list[tuple[Any, Any]]:
     return order
 
 
-def _merge_label(label: Label, groups: Sequence[Sequence[int]], k: int) -> Label:
-    # groups lists, per surviving block, the previous-stage blocks it absorbed
-    if label is TWO:
-        return TWO
-    sums = [sum(label[j] for j in group) for group in groups]
-    if any(v >= 2 for v in sums):
-        return TWO
-    return tuple(sums) + (0,) * (k - len(sums))
-
-
-def _shift_label(label: Label, positions: Sequence[int], k: int) -> Label:
-    # positions[m] is where the m-th surviving block landed among the new blocks
-    if label is TWO:
-        return TWO
-    if any(label[m] for m in range(len(positions), k)):
-        raise RuntimeError(f"internal: label {label!r} occupies a vanished block")
-    out = [0] * k
-    for m, p in enumerate(positions):
-        out[p] = label[m]
-    return tuple(out)
-
-
-def _apply_renames(
-    expr: CwdExpression, current: dict[str, Label], mapping: dict
-) -> tuple[CwdExpression, dict[str, Label]]:
-    for old, new in schedule_renames(mapping):
-        expr = Rename(old, new, expr)
-    return expr, {x: mapping.get(l, l) for x, l in current.items()}
-
-
 def build_expression(word: Word, sigma: Sequence[str], k: int) -> CwdExpression:
     """Compile a word with a k-block marking witness into an expression.
 
     Stage by stage the freshly marked letter enters with the reserved
     all-zero label, is wired to the labels of the letters it alternates
-    with, and the survivors are relabeled in two passes: block merges add
-    up tuple slots (overflow collapsing to TWO), then brand-new blocks
-    shift the slots rightwards. Letters sharing a label behave identically
-    at every step, which is what keeps the label count at 2^k + 1.
+    with, and the survivors are relabeled in two passes, both read off the
+    stage's block labels: a merge pass onto the label restricted to the
+    blocks that grew out of earlier ones, packed to the left (overflow
+    collapsing to TWO), then a shift pass onto the label itself, which
+    spreads those slots over the brand-new blocks. The 2^k + 1 label bound
+    rests on letters that share a label acting as one; that is checked at
+    every stage: all holders of a label must get the same neighbour verdict
+    and the same merge and shift targets, or RuntimeError is raised.
 
     The result is checked before returning: it must evaluate to the graph
     of the word with the final stage's block labels.
@@ -384,28 +408,32 @@ def build_expression(word: Word, sigma: Sequence[str], k: int) -> CwdExpression:
         a = trace.letter
         piece: CwdExpression = Create(zero, a)
         expr = piece if expr is None else Union(piece, expr)
-        neighbour_labels = {current[x] for x in current if x in adj[a]}
-        for label in sorted(neighbour_labels, key=label_sort_key):
-            holders = [x for x in current if current[x] == label]
-            if not all(x in adj[a] for x in holders):
-                raise RuntimeError(
-                    f"internal: label {label!r} mixes neighbours and non-neighbours of {a!r}"
-                )
-            expr = Connect(label, zero, expr)
-        groups = [org for org in trace.origins if org]
-        if current:
-            merge_map = {l: _merge_label(l, groups, k) for l in set(current.values())}
-            expr, current = _apply_renames(expr, current, merge_map)
-            positions = [j for j, org in enumerate(trace.origins) if org]
-            shift_map = {l: _shift_label(l, positions, k) for l in set(current.values())}
-            expr, current = _apply_renames(expr, current, shift_map)
         stage_labels = block_labels(trace, k)
+        positions = [j for j, org in enumerate(trace.origins) if org]
+        verdicts: dict[Label, bool] = {}
+        merge_map: dict[Label, Label] = {}
+        shift_map: dict[Label, Label] = {}
+        for x, label in current.items():
+            near = x in adj[a]
+            shifted = stage_labels[x]
+            merged = shifted
+            if shifted is not TWO:
+                merged = tuple(shifted[j] for j in positions) + (0,) * (k - len(positions))
+            if (
+                verdicts.setdefault(label, near) != near
+                or merge_map.setdefault(label, merged) != merged
+                or shift_map.setdefault(merged, shifted) != shifted
+            ):
+                raise RuntimeError(
+                    f"internal: letters labeled {label!r} part ways at stage {trace.stage_index}"
+                )
+        for label in sorted((l for l in verdicts if verdicts[l]), key=label_sort_key):
+            expr = Connect(label, zero, expr)
+        for mapping in (merge_map, shift_map):
+            for old, new in schedule_renames(mapping):
+                expr = Rename(old, new, expr)
         expr = Rename(zero, stage_labels[a], expr)
-        current[a] = stage_labels[a]
-        if current != stage_labels:
-            raise RuntimeError(
-                f"internal: tracked labels {current!r} disagree with stage {trace.stage_index}"
-            )
+        current = stage_labels
     assert expr is not None
 
     outcome = eval_expression(expr)

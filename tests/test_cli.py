@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from wordgraphs import Connect, Create, Union, serialize
 from wordgraphs.cli import main
 from wordgraphs.errors import BudgetExceededError
 from wordgraphs.graphs import enumerate_labeled_graphs, is_threshold
@@ -281,6 +282,19 @@ def test_cwd_build_eval_verify(capsys, tmp_path):
     code, out, _ = run(capsys, "cwd", "verify", "banana", "--sigma", "n,a,b", "--k", "2")
     assert code == 0
     assert out == "graph matches: yes\nlabels used: 4 (limit 5)\n"
+
+
+def test_cwd_eval_reads_escaped_node_ids(capsys, tmp_path):
+    ids = ["a\nb", 'say "hi"\\']
+    expr = Connect((1,), (0,), Union(Create((1,), ids[0]), Create((0,), ids[1])))
+    path = tmp_path / "ids.cwd"
+    path.write_text(serialize(expr))
+    assert path.read_text().count("\n") == 0
+    code, out, _ = run(capsys, "cwd", "eval", str(path), "--json")
+    assert code == 0
+    out = json.loads(out)
+    assert out["graph"] == {"nodes": sorted(ids), "edges": [sorted(ids)]}
+    assert out["labels"] == {ids[0]: [1], ids[1]: [0]}
 
 
 def test_cwd_eval_parse_error_exits_two(capsys, tmp_path):

@@ -21,11 +21,11 @@ from wordgraphs import (
     locality,
     max_block_count,
     parse,
+    represent_clique_partition,
     schedule_renames,
     serialize,
     simulate_marking,
 )
-from wordgraphs.cliquewidth import _merge_label, _shift_label
 from wordgraphs.graphs import Graph
 
 
@@ -120,6 +120,15 @@ def test_parse_accepts_whitespace_and_newlines():
     assert serialize(parse(text)) == '(union (create (1) "a") (create (0) "b"))'
 
 
+def test_node_ids_with_newlines_round_trip():
+    # a newline in an id is written as \n, next to the \" and \\ escapes
+    expr = Union(Create((1,), "a\nb"), Create(TWO, '\\n"\n'))
+    text = serialize(expr)
+    assert text == r'(union (create (1) "a\nb") (create two "\\n\"\n"))'
+    assert parse(text) == expr
+    assert parse(text).right.node == '\\n"\n'
+
+
 def test_parse_error_positions():
     with pytest.raises(ParseError, match="line 1, column 9"):
         parse('(create bogus "x")')
@@ -136,8 +145,7 @@ def test_parse_error_positions():
 
 
 def test_deep_expression_round_trip():
-    # far deeper than the interpreter's recursion limit; compared by text,
-    # because the dataclass == recurses
+    # far deeper than the interpreter's recursion limit
     expr = Union(Create((0,), "a"), Create((1,), "b"))
     for i in range(20000):
         expr = Rename((1,), (0,), expr) if i % 2 == 0 else Rename((0,), (1,), expr)
@@ -147,11 +155,32 @@ def test_deep_expression_round_trip():
         + '(union (create (0) "a") (create (1) "b"))'
         + ")" * 20000
     )
-    assert serialize(parse(text)) == text
+    back = parse(text)
+    assert serialize(back) == text
+    assert back == expr and hash(back) == hash(expr)
+    assert back != Rename((0,), (1,), expr.child.child)
+    shown = repr(back)
+    assert shown.startswith("Rename(old=(0,), new=(1,), child=Rename(old=(1,), new=(0,), ")
+    assert shown.endswith("node='b'))" + ")" * 20000)
     assert labels_used(expr) == {(0,), (1,)}
     out = eval_expression(expr)
     assert out.graph == Graph(frozenset("ab"), frozenset())
     assert out.labels == {"a": (1,), "b": (1,)}
+
+
+def test_node_eq_hash_and_repr():
+    expr = Connect((1,), TWO, Union(Create((0,), "a"), Rename(TWO, (1,), Create((1,), "b"))))
+    # the text the dataclass repr gives
+    assert repr(expr) == (
+        "Connect(first=(1,), second=2, child=Union(left=Create(label=(0,), node='a'), "
+        "right=Rename(old=2, new=(1,), child=Create(label=(1,), node='b'))))"
+    )
+    same = parse(serialize(expr))
+    assert same == expr and hash(same) == hash(expr) and same is not expr
+    assert expr != Connect((1,), TWO, Union(Create((0,), "a"), Rename(TWO, (1,), Create((1,), "c"))))
+    assert expr != Rename((1,), TWO, expr.child)
+    assert Create((0,), "a") != ((0,), "a")
+    assert len({expr, same, expr.child}) == 2
 
 
 def _malformed_corpus():
@@ -220,21 +249,6 @@ def test_schedule_renames_cycle_raises():
         schedule_renames({(0, 1): (1, 0), (1, 0): (0, 1)})
 
 
-def test_merge_label_sums_groups():
-    # blocks 0 and 1 fall together, block 2 stays
-    assert _merge_label((1, 0, 1), [(0, 1), (2,)], 3) == (1, 1, 0)
-    assert _merge_label((1, 1, 0), [(0, 1), (2,)], 3) is TWO
-    assert _merge_label(TWO, [(0, 1)], 3) is TWO
-
-
-def test_shift_label_moves_support():
-    # old block 0 is now block 1
-    assert _shift_label((1, 0), [1], 2) == (0, 1)
-    assert _shift_label(TWO, [1], 2) is TWO
-    with pytest.raises(RuntimeError):
-        _shift_label((0, 1), [0], 2)
-
-
 def test_build_expression_k2():
     expr = build_expression("ab", ("a", "b"), 1)
     assert serialize(expr) == (
@@ -259,6 +273,78 @@ def test_build_expression_matches_stage_labels():
         final = block_labels(simulate_marking(word, sigma)[-1], k)
         assert out.labels == final
         assert len(labels_used(expr)) <= 2 ** k + 1
+
+
+def _planted_token_word(rng, letters, length, k):
+    # occurrences go, in marking order, to the end of a block or, while there
+    # are fewer than k blocks, into a new one, so no stage shows more than k
+    sigma = rng.sample(letters, len(letters))
+    counts = [1] * len(sigma)
+    for _ in range(length - len(sigma)):
+        counts[rng.randrange(len(sigma))] += 1
+    blocks = []
+    for c, count in zip(sigma, counts):
+        for _ in range(count):
+            if not blocks or (len(blocks) < k and rng.random() < 0.3):
+                blocks.insert(rng.randrange(len(blocks) + 1), [c])
+            else:
+                rng.choice(blocks).append(c)
+    return tuple(x for block in blocks for x in block), tuple(sigma)
+
+
+def _wide_alphabet_cases():
+    rng = random.Random(71)
+    for _ in range(250):
+        letters = list("abcdefg"[: rng.randint(4, 7)])
+        letters += [rng.choice(letters) for _ in range(rng.randint(0, 12))]
+        rng.shuffle(letters)
+        word = "".join(letters)
+        k, sigma = locality(word)
+        yield word, sigma, k
+        yield word, sigma, k + 1
+    for _ in range(20):
+        names = [f"v{i}" for i in rng.sample(range(500), rng.randint(4, 50))]
+        parts = []
+        while names:
+            size = rng.randint(1, 6)
+            parts.append(names[:size])
+            names = names[size:]
+        word, sigma = represent_clique_partition(parts)
+        yield word, sigma, 2
+    for _ in range(20):
+        k = rng.randint(1, 3)
+        letters = [f"t{i}" for i in rng.sample(range(500), rng.randint(4, 40))]
+        yield (*_planted_token_word(rng, letters, rng.randint(len(letters), 100), k), k)
+
+
+def test_expression_text_beyond_three_letters_is_pinned():
+    texts = hashlib.sha1()
+    count = 0
+    for word, sigma, k in _wide_alphabet_cases():
+        texts.update((serialize(build_expression(word, sigma, k)) + "\n").encode())
+        count += 1
+    assert count == 540
+    # computed with the label algebra that tracked merges and shifts per stage
+    assert texts.hexdigest() == "43d243d9d7660a98a2ddd296d5e6f00dede1e375"
+
+
+def test_build_expression_checks_that_shared_labels_act_as_one(monkeypatch):
+    # a and b both hold (1 1) when c enters; hiding the edge a-c from the
+    # builder gives the two holders different neighbour verdicts
+    from wordgraphs import cliquewidth
+
+    real = cliquewidth.adjacency
+
+    def without_ac(graph):
+        adj = real(graph)
+        adj["a"].discard("c")
+        adj["c"].discard("a")
+        return adj
+
+    assert serialize(build_expression("abcabc", ("a", "b", "c"), 2))
+    monkeypatch.setattr(cliquewidth, "adjacency", without_ac)
+    with pytest.raises(RuntimeError, match=r"labeled \(1, 1\) part ways at stage 3"):
+        build_expression("abcabc", ("a", "b", "c"), 2)
 
 
 def test_build_expression_wider_k_is_allowed():
