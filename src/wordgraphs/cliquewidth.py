@@ -15,13 +15,7 @@ from dataclasses import dataclass, fields
 from typing import Any, NamedTuple, Sequence, Union as TypeUnion
 
 from .graphs import Graph, adjacency
-from .locality import (
-    TWO,
-    Label,
-    block_labels,
-    label_sort_key,
-    simulate_marking,
-)
+from .locality import TWO, Label, _marking_stages, _occupancy_label, label_sort_key
 from .words import Word, graph_of_word
 
 
@@ -143,34 +137,48 @@ def _postorder(expr: CwdExpression) -> list[CwdExpression]:
     return order[::-1]
 
 
+def _merged(a: set, b: set) -> set:
+    """Union of two sets, built by adding the smaller into the larger."""
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
+
+
 def eval_expression(expr: CwdExpression) -> LabeledGraph:
-    """Bottom-up evaluation. Rejects a node id created more than once."""
-    done: list[tuple[set[str], set[tuple[str, str]], dict[str, Any]]] = []
+    """Bottom-up evaluation. Rejects a node id created more than once.
+
+    Every subtree keeps its node set, its edge set and its nodes grouped
+    by label. A union adds the smaller side into the larger one and a
+    rename the smaller label group into the larger, so an expression with
+    N creates costs O(N log N) set insertions plus one per connected pair.
+    """
+    done: list[tuple[set[str], set[tuple[str, str]], dict[Any, set[str]]]] = []
     for node in _postorder(expr):
         if isinstance(node, Create):
-            done.append(({node.node}, set(), {node.node: node.label}))
+            done.append(({node.node}, set(), {node.label: {node.node}}))
         elif isinstance(node, Union):
-            nodes, edges, labels = done.pop()
-            ln, le, ll = done[-1]
-            clash = ln & nodes
+            nodes, edges, groups = done.pop()
+            other_nodes, other_edges, other_groups = done.pop()
+            clash = nodes & other_nodes
             if clash:
                 raise ValueError(f"node(s) {sorted(clash)!r} created on both sides of a union")
-            ln |= nodes
-            le |= edges
-            ll.update(labels)
+            if len(groups) < len(other_groups):
+                groups, other_groups = other_groups, groups
+            for label, members in other_groups.items():
+                groups[label] = _merged(groups.pop(label, set()), members)
+            done.append((_merged(nodes, other_nodes), _merged(edges, other_edges), groups))
         elif isinstance(node, Connect):
-            _, edges, labels = done[-1]
-            firsts = [v for v, l in labels.items() if l == node.first]
-            seconds = [v for v, l in labels.items() if l == node.second]
-            for u in firsts:
-                for v in seconds:
+            _, edges, groups = done[-1]
+            for u in groups.get(node.first, ()):
+                for v in groups.get(node.second, ()):
                     edges.add((u, v) if u < v else (v, u))
         else:
-            labels = done[-1][2]
-            for v, l in labels.items():
-                if l == node.old:
-                    labels[v] = node.new
-    nodes, edges, labels = done.pop()
+            groups = done[-1][2]
+            if node.old in groups:
+                groups[node.new] = _merged(groups.pop(node.old), groups.pop(node.new, set()))
+    nodes, edges, groups = done.pop()
+    labels = {v: label for label, members in groups.items() for v in members}
     return LabeledGraph(Graph(nodes, edges), labels)
 
 
@@ -373,69 +381,96 @@ def schedule_renames(mapping: dict) -> list[tuple[Any, Any]]:
     return order
 
 
+def _next_label(label: Label, origins: tuple[tuple[int, ...], ...], k: int) -> Label:
+    """A survivor's label after a stage whose blocks grew out of `origins`.
+
+    A survivor's positions stay put, so its count in a new block is the
+    sum of its counts in the old blocks that block swallowed.
+    """
+    if label is TWO:
+        return TWO
+    return _occupancy_label([sum([label[j] for j in org]) for org in origins], k)
+
+
 def build_expression(word: Word, sigma: Sequence[str], k: int) -> CwdExpression:
     """Compile a word with a k-block marking witness into an expression.
 
     Stage by stage the freshly marked letter enters with the reserved
     all-zero label, is wired to the labels of the letters it alternates
-    with, and the survivors are relabeled in two passes, both read off the
-    stage's block labels: a merge pass onto the label restricted to the
-    blocks that grew out of earlier ones, packed to the left (overflow
-    collapsing to TWO), then a shift pass onto the label itself, which
-    spreads those slots over the brand-new blocks. The 2^k + 1 label bound
+    with, and the survivors are relabeled in two passes: a merge pass onto
+    their new block label restricted to the blocks that grew out of
+    earlier ones, packed to the left (overflow collapsing to TWO), then a
+    shift pass onto the new block label itself, which spreads those slots
+    over the brand-new blocks. A survivor's new label is a function of its
+    old one and of the stage's origins, so the survivors are carried as
+    one letter set per label, at most 2^k + 1 of them. The label bound
     rests on letters that share a label acting as one; that is checked at
-    every stage: all holders of a label must get the same neighbour verdict
-    and the same merge and shift targets, or RuntimeError is raised.
+    every stage: each set must lie inside or outside the new letter's
+    neighbourhood, or RuntimeError is raised.
 
-    The result is checked before returning: it must evaluate to the graph
-    of the word with the final stage's block labels.
+    The stages come from `locality._marking_stages`. A stage costs
+    O(2^k k) label work and 2^k + 1 operations on |A|-bit letter masks,
+    plus the new letter's occurrences and degree; no stage looks at every
+    letter. Add `graph_of_word` and the final check. The result is checked
+    before returning: it must evaluate to the graph of the word with the
+    final stage's block labels.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if not len(word):
         raise ValueError("the empty word has no expression")
-    traces = simulate_marking(word, sigma)
-    worst = max(t.block_count for t in traces)
+    stages = _marking_stages(word, sigma)
+    worst = max(len(blocks) for _, blocks, _, _ in stages)
     if worst > k:
         raise ValueError(f"{tuple(sigma)!r} reaches {worst} blocks, more than k={k}")
     target = graph_of_word(word)
     adj = adjacency(target)
+    letters = [c for c, _, _, _ in stages]
+    bit = {c: 1 << i for i, c in enumerate(letters)}
     zero = (0,) * k
 
     expr: CwdExpression | None = None
-    current: dict[str, Label] = {}
-    for trace in traces:
-        a = trace.letter
+    groups: dict[Label, int] = {}  # label -> bitmask of the survivors holding it
+    for stage, (a, _, origins, counts) in enumerate(stages, 1):
         piece: CwdExpression = Create(zero, a)
         expr = piece if expr is None else Union(piece, expr)
-        stage_labels = block_labels(trace, k)
-        positions = [j for j, org in enumerate(trace.origins) if org]
-        verdicts: dict[Label, bool] = {}
+        near = sum(bit[x] for x in adj[a])
+        positions = [j for j, org in enumerate(origins) if org]
+        wired: list[Label] = []
         merge_map: dict[Label, Label] = {}
         shift_map: dict[Label, Label] = {}
-        for x, label in current.items():
-            near = x in adj[a]
-            shifted = stage_labels[x]
+        moved: dict[Label, int] = {}
+        for label, members in groups.items():
+            hit = members & near
+            if hit:
+                if hit != members:
+                    raise RuntimeError(
+                        f"internal: letters labeled {label!r} part ways at stage {stage}"
+                    )
+                wired.append(label)
+            shifted = _next_label(label, origins, k)
             merged = shifted
             if shifted is not TWO:
                 merged = tuple(shifted[j] for j in positions) + (0,) * (k - len(positions))
-            if (
-                verdicts.setdefault(label, near) != near
-                or merge_map.setdefault(label, merged) != merged
-                or shift_map.setdefault(merged, shifted) != shifted
-            ):
-                raise RuntimeError(
-                    f"internal: letters labeled {label!r} part ways at stage {trace.stage_index}"
-                )
-        for label in sorted((l for l in verdicts if verdicts[l]), key=label_sort_key):
+            merge_map[label] = merged
+            shift_map[merged] = shifted
+            moved[shifted] = moved.get(shifted, 0) | members
+        for label in sorted(wired, key=label_sort_key):
             expr = Connect(label, zero, expr)
         for mapping in (merge_map, shift_map):
             for old, new in schedule_renames(mapping):
                 expr = Rename(old, new, expr)
-        expr = Rename(zero, stage_labels[a], expr)
-        current = stage_labels
+        own = _occupancy_label(counts, k)
+        expr = Rename(zero, own, expr)
+        moved[own] = moved.get(own, 0) | bit[a]
+        groups = moved
     assert expr is not None
 
+    current = {}
+    for label, members in groups.items():
+        for i, flag in enumerate(bin(members)[:1:-1]):
+            if flag == "1":
+                current[letters[i]] = label
     outcome = eval_expression(expr)
     if outcome.graph != target:
         raise RuntimeError("internal: expression does not evaluate to the word's graph")

@@ -27,6 +27,10 @@ class _AbsorbingLabel:
     def __repr__(self) -> str:
         return "2"
 
+    def __reduce__(self) -> str:
+        # pickle and copy hand back the module's singleton, not a twin
+        return "TWO"
+
 
 TWO = _AbsorbingLabel()
 
@@ -72,50 +76,83 @@ def _check_sequence(word: Word, sigma: Sequence[str]) -> MarkingSequence:
 
 
 def simulate_marking(word: Word, sigma: Sequence[str]) -> list[StageTrace]:
-    """Run the marking stages of sigma over the word, returning all traces."""
-    sig = _check_sequence(word, sigma)
-    n = len(word)
+    """Run the marking stages of sigma over the word, returning all traces.
+
+    The blocks and origins come from `_marking_stages` in O(n + total
+    block count) for n positions. The marked letters are kept grouped by
+    profile row, and a row's next value is summed along the origins once
+    per group; the profile still lists every letter, so each stage also
+    copies O(|A|) entries.
+    """
     letters = sorted(alphabet(word))
-    marked = [False] * n
+    stages = _marking_stages(word, sigma)
+    sig = tuple(c for c, _, _, _ in stages)
     traces: list[StageTrace] = []
-    prev: tuple[tuple[int, int], ...] = ()
-    for i, c in enumerate(sig, 1):
-        for p, x in enumerate(word):
-            if x == c:
-                marked[p] = True
-        blocks: list[tuple[int, int]] = []
-        p = 0
-        while p < n:
-            if marked[p]:
-                q = p
-                while q + 1 < n and marked[q + 1]:
-                    q += 1
-                blocks.append((p + 1, q + 1))
-                p = q + 1
-            else:
-                p += 1
-        origins = tuple(
-            tuple(j for j, (s, e) in enumerate(prev) if lo <= s and e <= hi)
-            for lo, hi in blocks
-        )
-        counts = {x: [0] * len(blocks) for x in letters}
-        for j, (lo, hi) in enumerate(blocks):
-            for p in range(lo - 1, hi):
-                counts[word[p]][j] += 1
-        profile = {x: tuple(row) for x, row in counts.items()}
+    rows: dict[tuple[int, ...], list[str]] = {}  # profile row -> marked letters
+    for i, (c, blocks, origins, counts) in enumerate(stages, 1):
+        moved: dict[tuple[int, ...], list[str]] = {}
+        for row, holders in rows.items():
+            summed = tuple([sum([row[j] for j in org]) for org in origins])
+            moved.setdefault(summed, []).extend(holders)
+        moved.setdefault(counts, []).append(c)
+        rows = moved
+        profile = dict.fromkeys(letters, (0,) * len(blocks))
+        for row, holders in rows.items():
+            profile.update(dict.fromkeys(holders, row))
         traces.append(
             StageTrace(
                 stage_index=i,
                 letter=c,
-                blocks=tuple(blocks),
+                blocks=blocks,
                 block_count=len(blocks),
                 marked=frozenset(sig[:i]),
                 profile=profile,
                 origins=origins,
             )
         )
-        prev = tuple(blocks)
     return traces
+
+
+# letter, blocks, origins, and the letter's number of positions in each block
+_Stage = tuple[str, tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
+
+
+def _marking_stages(word: Word, sigma: Sequence[str]) -> list[_Stage]:
+    """The block structure of every marking stage of sigma, without rescans.
+
+    Per stage: the letter, its blocks as 1-based inclusive spans, the
+    origins (per block, the previous stage's blocks it swallowed), and
+    the letter's number of positions in each block. A stage's blocks are
+    the previous blocks and the letter's own positions, merged in order
+    where they touch, so a stage costs O(previous blocks + occurrences)
+    and the whole run O(n + total block count).
+    """
+    sig = _check_sequence(word, sigma)
+    positions = _positions_by_letter(word)
+    stages: list[_Stage] = []
+    blocks: tuple[tuple[int, int], ...] = ()
+    for c in sig:
+        pieces = sorted(
+            [(lo, hi, j) for j, (lo, hi) in enumerate(blocks)]
+            + [(p, p, -1) for p in positions[c]]
+        )
+        spans: list[list[int]] = []
+        origins: list[list[int]] = []
+        counts: list[int] = []
+        for lo, hi, j in pieces:
+            if spans and spans[-1][1] + 1 == lo:
+                spans[-1][1] = hi
+            else:
+                spans.append([lo, hi])
+                origins.append([])
+                counts.append(0)
+            if j < 0:
+                counts[-1] += 1
+            else:
+                origins[-1].append(j)
+        blocks = tuple((lo, hi) for lo, hi in spans)
+        stages.append((c, blocks, tuple(map(tuple, origins)), tuple(counts)))
+    return stages
 
 
 def max_block_count(word: Word, sigma: Sequence[str]) -> int:
@@ -249,11 +286,11 @@ def block_labels(trace: StageTrace, k: int) -> dict[str, Label]:
         raise ValueError(
             f"stage {trace.stage_index} has {trace.block_count} blocks, more than k={k}"
         )
-    out: dict[str, Label] = {}
-    for c in trace.marked:
-        prof = trace.profile[c]
-        if any(v >= 2 for v in prof):
-            out[c] = TWO
-        else:
-            out[c] = tuple(prof) + (0,) * (k - len(prof))
-    return out
+    return {c: _occupancy_label(trace.profile[c], k) for c in trace.marked}
+
+
+def _occupancy_label(counts: Sequence[int], k: int) -> Label:
+    """TWO when some block holds the letter twice, else the counts padded to width k."""
+    if any(v >= 2 for v in counts):
+        return TWO
+    return tuple(counts) + (0,) * (k - len(counts))

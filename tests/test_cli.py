@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from wordgraphs import Connect, Create, Union, serialize
+from wordgraphs import (
+    Connect,
+    Create,
+    Union,
+    clique_partition_graph,
+    graph_from_json_text,
+    represent_clique_partition,
+    serialize,
+)
 from wordgraphs.cli import main
 from wordgraphs.errors import BudgetExceededError
 from wordgraphs.graphs import enumerate_labeled_graphs, is_threshold
@@ -320,6 +328,20 @@ def test_cwd_verify_deep_clique_word(capsys):
                        "--sigma", sigma, "--k", "2", "--json")
     assert code == 0
     assert json.loads(out)["matches"] is True
+
+
+def test_cwd_verify_and_graph_of_a_2000_letter_word(capsys):
+    # 4,000 positions: the paths without a budget stay near-linear in the word
+    parts = _five_cliques(2000)
+    word, sigma = represent_clique_partition(parts)
+    text = " ".join(word)
+    code, out, _ = run(capsys, "cwd", "verify", text, "--tokens",
+                       "--sigma", ",".join(sigma), "--k", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["matches"] is True
+    code, out, _ = run(capsys, "graph", text, "--tokens", "--json")
+    assert code == 0
+    assert graph_from_json_text(out) == clique_partition_graph(parts)
 
 
 def test_cwd_eval_deep_clique_expression(capsys, tmp_path):

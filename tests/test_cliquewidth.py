@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
@@ -27,6 +29,66 @@ from wordgraphs import (
     simulate_marking,
 )
 from wordgraphs.graphs import Graph
+
+
+def reference_eval(expr):
+    """Oracle: evaluate by recursion, relabeling and connecting node by node."""
+    if isinstance(expr, Create):
+        return {expr.node}, set(), {expr.node: expr.label}
+    if isinstance(expr, Union):
+        left_nodes, left_edges, left_labels = reference_eval(expr.left)
+        nodes, edges, labels = reference_eval(expr.right)
+        if left_nodes & nodes:
+            raise ValueError(f"node(s) {sorted(left_nodes & nodes)!r} created on both sides of a union")
+        return left_nodes | nodes, left_edges | edges, {**left_labels, **labels}
+    nodes, edges, labels = reference_eval(expr.child)
+    if isinstance(expr, Connect):
+        for u in nodes:
+            for v in nodes:
+                if u < v and {labels[u], labels[v]} == {expr.first, expr.second}:
+                    edges.add((u, v))
+    else:
+        labels = {v: expr.new if l == expr.old else l for v, l in labels.items()}
+    return nodes, edges, labels
+
+
+def test_eval_matches_node_by_node_reference():
+    rng = random.Random(41)
+    pool = [(0,), (1,), TWO, (0, 1)]
+
+    def random_expr(ids, depth):
+        if depth == 0 or rng.random() < 0.2:
+            return Create(rng.choice(pool), rng.choice(ids))
+        kind = rng.randrange(3)
+        if kind == 0:
+            return Union(random_expr(ids, depth - 1), random_expr(ids, depth - 1))
+        child = random_expr(ids, depth - 1)
+        first, second = rng.sample(pool, 2)
+        return Connect(first, second, child) if kind == 1 else Rename(first, second, child)
+
+    clashes = 0
+    for _ in range(400):
+        expr = random_expr([f"n{i}" for i in range(rng.randint(1, 40))], rng.randint(0, 8))
+        try:
+            nodes, edges, labels = reference_eval(expr)
+        except ValueError as exc:
+            clashes += 1
+            with pytest.raises(ValueError) as caught:
+                eval_expression(expr)
+            assert str(caught.value) == str(exc)
+            continue
+        out = eval_expression(expr)
+        assert out.graph == Graph(frozenset(nodes), frozenset(edges))
+        assert out.labels == labels
+    assert 20 < clashes < 200
+
+
+def test_two_survives_pickle_and_deepcopy():
+    expr = Connect((1,), TWO, Create((0,), "a"))
+    for copied in (pickle.loads(pickle.dumps(expr)), copy.deepcopy(expr)):
+        assert copied == expr
+        assert copied.second is TWO
+        assert serialize(copied) == serialize(expr)
 
 
 def test_create_and_union_eval():

@@ -90,6 +90,58 @@ def test_simulate_marking_profiles_match_per_letter_counts():
             assert list(t.profile.items()) == list(expected.items()), (word, sigma, t.stage_index)
 
 
+def rescan_marking(word, sigma):
+    """Oracle: mark, find the blocks and count the profile from the whole word at every stage."""
+    n = len(word)
+    letters = sorted(set(word))
+    marked = [False] * n
+    out = []
+    prev = ()
+    for c in sigma:
+        for p, x in enumerate(word):
+            if x == c:
+                marked[p] = True
+        blocks = []
+        p = 0
+        while p < n:
+            if marked[p]:
+                q = p
+                while q + 1 < n and marked[q + 1]:
+                    q += 1
+                blocks.append((p + 1, q + 1))
+                p = q + 1
+            else:
+                p += 1
+        origins = tuple(
+            tuple(j for j, (s, e) in enumerate(prev) if lo <= s and e <= hi)
+            for lo, hi in blocks
+        )
+        counts = {x: [0] * len(blocks) for x in letters}
+        for j, (lo, hi) in enumerate(blocks):
+            for p in range(lo - 1, hi):
+                counts[word[p]][j] += 1
+        out.append((tuple(blocks), origins, [(x, tuple(row)) for x, row in counts.items()]))
+        prev = tuple(blocks)
+    return out
+
+
+def test_simulate_marking_matches_whole_word_rescan():
+    rng = random.Random(83)
+    for _ in range(300):
+        tokens = rng.random() < 0.4
+        pool = ["x1", "y", "zz", "w", "v", "u7", "t"] if tokens else list("abcdefg")
+        pool = pool[: rng.randint(1, len(pool))]
+        letters = [rng.choice(pool) for _ in range(rng.randrange(1, 40))]
+        word = tuple(letters) if tokens else "".join(letters)
+        sigma = sorted(set(letters))
+        rng.shuffle(sigma)
+        got = [
+            (t.blocks, t.origins, list(t.profile.items()))
+            for t in simulate_marking(word, sigma)
+        ]
+        assert got == rescan_marking(word, sigma), (word, sigma)
+
+
 def test_simulate_marking_rejects_non_permutations():
     with pytest.raises(ValueError):
         simulate_marking("ab", ("a",))

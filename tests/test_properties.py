@@ -1,4 +1,4 @@
-"""Hypothesis properties of the expression reader and writer."""
+"""Hypothesis properties of the word graph and of the expression reader and writer."""
 
 from __future__ import annotations
 
@@ -8,6 +8,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from wordgraphs import TWO, Connect, Create, ParseError, Rename, Union, parse, serialize  # noqa: E402
+from wordgraphs.graphs import Graph  # noqa: E402
+from wordgraphs.words import _alternation_scan, graph_of_word  # noqa: E402
+
+# runs of one to three copies over one to six letters, so adjacent repeats,
+# single occurrences and pairs that alternate one way only are all common
+runs = st.integers(1, 6).flatmap(
+    lambda m: st.lists(st.tuples(st.sampled_from("abcdef"[:m]), st.integers(1, 3)), max_size=16)
+)
+string_words = runs.map(lambda rs: "".join(c * m for c, m in rs))
+token_words = string_words.map(lambda w: tuple({"a": "x1", "b": "yy", "c": "z"}.get(c, c) for c in w))
 
 labels = st.just(TWO) | st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple)
 node_ids = st.text(max_size=4)
@@ -29,6 +39,19 @@ grammar_tokens = st.lists(
                      "create", "union", "connect", "rename"]),
     max_size=30,
 ).map("".join)
+
+
+@settings(database=None, max_examples=300, deadline=None)
+@given(string_words | token_words)
+def test_graph_of_word_matches_pairwise_scan(word):
+    letters = sorted(set(word))
+    edges = [
+        (a, b)
+        for i, a in enumerate(letters)
+        for b in letters[i + 1 :]
+        if _alternation_scan(word, a, b)
+    ]
+    assert graph_of_word(word) == Graph(letters, edges)
 
 
 @settings(database=None, max_examples=150, deadline=None)
