@@ -216,38 +216,59 @@ def _search(
     lexicographically smallest optimum. The search stops at a completion
     whose maximum is at most floor, since nothing later can beat it.
     Returns None when no sequence stays below bound.
+
+    The block count f(t) after marking a letter set t does not depend on
+    the order t was marked in, so the search remembers dead sets, keyed by
+    the bitmask of their letters, and never enters one again. A set t dies
+    when every way to finish from t reaches best_k: either f(t) itself
+    reaches it, or t was entered with a running maximum below best_k and
+    came back without a completion below best_k while that maximum still
+    stays below it, so every finish from t reaches best_k on its own. Since
+    best_k only falls, a dead set holds no completion below any later
+    bound, and the search finds the same completions in the same order. A
+    set whose prefix maximum alone reached best_k does not die: a later,
+    lower prefix may still finish it. Only sets the search visits are
+    stored. Between two improvements of best_k a set is entered at most
+    once, since an entry that finds none leaves it dead, and the children
+    of one set mark at most n positions together; so for m letters and n
+    positions the work is O(2^m * n) per improvement, where the search
+    over orders alone was O(m! * n).
     """
     positions = _positions_by_letter(word)
     marked = bytearray(len(word) + 2)
-    used = [False] * len(letters)
     order: list[str] = []
+    full = (1 << len(letters)) - 1
+    dead: set[int] = set()
     best_k = bound
     best_sigma: MarkingSequence | None = None
 
-    def dfs(blocks: int, high: int) -> bool:
+    def dfs(blocks: int, high: int, done: int) -> bool:
         nonlocal best_k, best_sigma
-        if len(order) == len(letters):
+        if done == full:
             best_k = high
             best_sigma = tuple(order)
             return high <= floor
         for idx, c in enumerate(letters):
-            if used[idx]:
+            t = done | 1 << idx
+            if t == done or t in dead:
                 continue
             ps = positions[c]
             nb = blocks + _mark(marked, ps)
             nh = high if high >= nb else nb
             if nh < best_k:
-                used[idx] = True
                 order.append(c)
-                if dfs(nb, nh):
+                if dfs(nb, nh, t):
                     return True
                 order.pop()
-                used[idx] = False
+                if nh < best_k:
+                    dead.add(t)
+            elif nb >= best_k:
+                dead.add(t)
             for p in ps:
                 marked[p] = 0
         return False
 
-    dfs(0, 0)
+    dfs(0, 0, 0)
     return None if best_sigma is None else (best_k, best_sigma)
 
 

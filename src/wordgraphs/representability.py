@@ -249,7 +249,8 @@ def _search_exact_length(
                 return False
             if local_k is not None:
                 candidate = [letters[i] for i in word]
-                if not is_k_local(candidate, local_k):
+                # the node budget already admitted these letters
+                if not is_k_local(candidate, local_k, letter_budget=n):
                     return False
             return True
         slots = length - len(word) - 1

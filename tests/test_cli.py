@@ -169,6 +169,20 @@ def test_decide_env_budget(capsys, tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_decide_class_l_leaf_check_is_within_node_budget(capsys, tmp_path):
+    # decide has no letter budget: the nodes it admits are the letters its
+    # k-locality leaf check may use, also beyond the default of 12
+    code, graph, _ = run(capsys, "gen", "complete", "13")
+    assert code == 0
+    path = tmp_path / "k13.json"
+    path.write_text(graph)
+    code, out, err = run(
+        capsys, "decide", "--graph", str(path), "--class", "L", "--k", "1", "--budget-nodes", "13"
+    )
+    assert (code, err) == (0, "")
+    assert out == "member: yes\nwitness: 1 10 11 12 13 2 3 4 5 6 7 8 9\n"
+
+
 def test_bad_env_budget_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("WG_BUDGET_LETTERS", "many")
     code, _, err = run(capsys, "locality", "abc")

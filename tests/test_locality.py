@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import sys
 
 import pytest
 
@@ -15,6 +17,7 @@ from wordgraphs import (
     max_block_count,
     simulate_marking,
 )
+from wordgraphs.cli import main
 from wordgraphs.errors import BudgetExceededError
 
 
@@ -265,3 +268,154 @@ def test_block_labels_rejects_too_many_blocks():
 def test_label_sort_key_orders_tuples_before_two():
     labels = [TWO, (1, 0), (0, 1), (1, 1)]
     assert sorted(labels, key=label_sort_key) == [(0, 1), (1, 0), (1, 1), TWO]
+
+
+def subset_dp_locality(word):
+    """Oracle: locality and its lexicographically smallest witness over the
+    letter subsets, with no search over marking orders.
+
+    blocks[s] is the block count once the letter set s is marked, in any
+    order: the marked positions minus the adjacent position pairs with both
+    letters in s. need[s] is the least block maximum a marking must still
+    reach after s, so the locality is need[0]; walking forwards with the
+    smallest letter that stays within it gives the witness.
+    """
+    letters = sorted(set(word))
+    m = len(letters)
+    index = {c: i for i, c in enumerate(letters)}
+    occ = [0] * m
+    adjacent = [[0] * m for _ in range(m)]
+    for p, x in enumerate(word):
+        i = index[x]
+        occ[i] += 1
+        if p:
+            j = index[word[p - 1]]
+            adjacent[i][j] += 1
+            if i != j:
+                adjacent[j][i] += 1
+    full = (1 << m) - 1
+    blocks = [0] * (full + 1)
+    for s in range(1, full + 1):
+        c = (s & -s).bit_length() - 1
+        rest = s & (s - 1)
+        inside = sum(adjacent[c][d] for d in range(m) if rest >> d & 1)
+        blocks[s] = blocks[rest] + occ[c] - adjacent[c][c] - inside
+    need = [0] * (full + 1)
+    for s in range(full - 1, -1, -1):
+        need[s] = min(
+            max(blocks[s | 1 << c], need[s | 1 << c]) for c in range(m) if not s >> c & 1
+        )
+    witness = []
+    s = 0
+    while s != full:
+        c = next(
+            c
+            for c in range(m)
+            if not s >> c & 1 and max(blocks[s | 1 << c], need[s | 1 << c]) <= need[0]
+        )
+        witness.append(letters[c])
+        s |= 1 << c
+    return need[0], tuple(witness)
+
+
+def test_subset_dp_oracle_matches_exhaustive_oracle():
+    rng = random.Random(67)
+    for _ in range(100):
+        word = "".join(rng.choice("abcde") for _ in range(rng.randrange(1, 11)))
+        assert subset_dp_locality(word) == oracle_locality(word), word
+
+
+def planted_local_word(rng, letters, length, k):
+    """A word with at most k blocks at every stage of some marking order.
+
+    Each occurrence, taken in that order, goes to either end of an existing
+    run or, while fewer than k runs exist, starts a new one between them; the
+    marked part of every run is then one stretch of it.
+    """
+    sigma = rng.sample(letters, len(letters))
+    pool = sigma + [rng.choice(letters) for _ in range(length - len(letters))]
+    pool.sort(key=sigma.index)
+    runs = []
+    for c in pool:
+        if not runs or (len(runs) < k and rng.random() < 0.2):
+            runs.insert(rng.randrange(len(runs) + 1), [c])
+        elif rng.random() < 0.5:
+            rng.choice(runs).append(c)
+        else:
+            rng.choice(runs).insert(0, c)
+    return [x for run in runs for x in run]
+
+
+def wide_words():
+    """Seeded random and planted words over 8-12 letters, 50-1000 positions."""
+    rng = random.Random(71)
+    tokens = ["x1", "yy", "z", "w10", "w9", "v", "u_u", "t", "s3", "r", "q", "p0"]
+    for i in range(24):
+        size = rng.randint(8, 12)
+        letters = rng.sample(tokens, size) if i % 3 == 2 else list("abcdefghijkl"[:size])
+        length = int(50 * 20 ** rng.random())
+        if i % 2:
+            word = planted_local_word(rng, letters, length, rng.randint(1, 4))
+        else:
+            word = letters + [rng.choice(letters) for _ in range(length - size)]
+            rng.shuffle(word)
+        yield tuple(word) if i % 3 == 2 else "".join(word)
+
+
+def test_locality_matches_subset_dp_on_wide_alphabets():
+    for word in wide_words():
+        k, witness = subset_dp_locality(word)
+        assert locality(word) == (k, witness), word
+        assert is_k_local(word, k), word
+        assert k == 1 or not is_k_local(word, k - 1), word
+
+
+def random_long_word():
+    rng = random.Random(12)
+    letters = list("abcdefghijkl")
+    word = rng.sample(letters, 12) + [rng.choice(letters) for _ in range(1988)]
+    rng.shuffle(word)
+    return "".join(word)
+
+
+def test_locality_of_long_word_expands_each_letter_set_about_once(monkeypatch):
+    # 12 letters and 2000 positions: the search over marking orders took
+    # seconds here; over letter sets it expands fewer children than the
+    # 12 * 2^11 edges of the subset lattice
+    word = random_long_word()
+    k, witness = subset_dp_locality(word)
+    search = sys.modules["wordgraphs.locality"]
+    mark = search._mark
+    calls = []
+
+    def counted(marked, ps):
+        calls.append(None)
+        return mark(marked, ps)
+
+    monkeypatch.setattr(search, "_mark", counted)
+    assert locality(word) == (k, witness)
+    assert not is_k_local(word, k - 1)
+    assert len(calls) <= 12 * 2**11
+
+
+def test_cli_locality_and_check_on_long_word(capsys):
+    word = random_long_word()
+    k, witness = subset_dp_locality(word)
+    assert main(["locality", word, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "word": word,
+        "locality": k,
+        "witness": list(witness),
+    }
+    assert main(["check", word, "--k", str(k - 1), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"word": word, "k": k - 1, "k_local": False}
+
+
+def test_cli_locality_of_forty_distinct_tokens(capsys):
+    # one occurrence per token: locality 1, found without a table over the
+    # 2^40 letter sets
+    tokens = [f"w{i:02}" for i in range(40)]
+    word = " ".join(reversed(tokens))
+    assert main(["locality", word, "--tokens", "--budget-letters", "40", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["locality"], out["witness"]) == (1, tokens)
