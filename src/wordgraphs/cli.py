@@ -7,7 +7,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .cliquewidth import (
     ParseError,
@@ -36,6 +36,7 @@ from .graphs import (
     to_edge_list_text,
     to_json_dict,
     to_json_text,
+    _GraphClass,
     _graph_classes,
 )
 from .locality import (
@@ -396,11 +397,52 @@ def _cmd_cwd_verify(args) -> int:
     return 0
 
 
+def _speed_layers(
+    class_kind: str, k: int, n: int, *, node_budget: int, max_len: int | None
+) -> Iterator[list[tuple[_GraphClass, bool]]]:
+    """Each isomorphism class on m nodes with its membership, one list per
+    decided size m, smallest first; the last list is always m = n.
+
+    L_k and R_k are hereditary, so a class with a refuted parent (one of
+    its G - v) is a non-member and no search runs for it; every other
+    class goes to `decide_membership`. Refuted classes are kept by
+    (m, code): a bare code names a class only among graphs of one size.
+    A refuted parent settles its children only when its "no" is
+    conclusive, so the smaller sizes are swept only when the complete
+    bound maxc * n, and with it every smaller one, fits within max_len;
+    otherwise the store stays empty and size n is decided class by class.
+    """
+    maxc = k if class_kind == "R" else k + 1
+    capped = max_len is not None and maxc * n > max_len
+    refuted: set[tuple[int, int]] = set()
+    for m, layer in enumerate(_graph_classes(n, node_budget=node_budget)):
+        if m < n and capped:
+            continue
+        answers = []
+        for cls in layer:
+            if any((m - 1, p) in refuted for p in cls.parents):
+                member = False
+            else:
+                query = MembershipQuery(
+                    graph=cls.graph, class_kind=class_kind, k=k, node_budget=n, max_len=max_len
+                )
+                member, _ = decide_membership(query)
+            if not member:
+                refuted.add((m, cls.code))
+            answers.append((cls, member))
+        yield answers
+
+
 def _cmd_speed(args) -> int:
     """Count the labeled n-node graphs in the class.
 
     Membership is invariant under isomorphism, so one graph per class is
     decided and counted with the number of labeled graphs in its class.
+    The sizes 0..n are swept smallest first (`_speed_layers`): a class
+    one of whose G - v was refuted is a non-member without a search. The
+    store of refuted classes is used only when the complete bound of size
+    n fits within --budget-len; a smaller cap decides the n-node classes
+    one by one, so it exits, prints and raises as a per-class loop does.
     """
     node_budget = _resolve(args.budget_nodes, "WG_BUDGET_NODES", ENUMERATION_BUDGET_DEFAULT)
     max_len = _resolve(args.budget_len, "WG_BUDGET_LEN", 0) or None
@@ -408,20 +450,15 @@ def _cmd_speed(args) -> int:
     count = 0
     total = 0
     threshold_count = 0
-    for g, labeled in _graph_classes(args.n, node_budget=node_budget):
-        total += labeled
-        query = MembershipQuery(
-            graph=g,
-            class_kind=args.class_kind,
-            k=args.k,
-            node_budget=args.n,
-            max_len=max_len,
-        )
-        member, _ = decide_membership(query)
+    *_, last = _speed_layers(
+        args.class_kind, args.k, args.n, node_budget=node_budget, max_len=max_len
+    )
+    for cls, member in last:
+        total += cls.labeled
         if member:
-            count += labeled
-        if crosscheck and is_threshold(g):
-            threshold_count += labeled
+            count += cls.labeled
+        if crosscheck and is_threshold(cls.graph):
+            threshold_count += cls.labeled
     pairs = args.n * (args.n - 1) // 2
     if total != 1 << pairs:
         raise RuntimeError(f"internal: the classes hold {total} labeled graphs, not 2^{pairs}")

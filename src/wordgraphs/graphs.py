@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError
 
@@ -491,33 +491,55 @@ def enumerate_labeled_graphs(
         yield Graph(nodes, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
 
 
+class _GraphClass(NamedTuple):
+    """One isomorphism class on nodes "1".."m", in its canonical labeling."""
+
+    code: int
+    graph: Graph
+    # labeled graphs in the class, m!/|Aut|
+    labeled: int
+    # codes of the classes of its G - v, on m - 1 nodes
+    parents: frozenset[int]
+
+
 def _graph_classes(
     n: int, *, node_budget: int = ENUMERATION_BUDGET_DEFAULT
-) -> Iterator[tuple[Graph, int]]:
-    """One graph per isomorphism class on nodes "1".."n", with the number
-    of labeled graphs in its class, n!/|Aut|; the numbers add up to
-    2^(n choose 2).
+) -> Iterator[list[_GraphClass]]:
+    """The isomorphism classes on m nodes for m = 0..n, one list per m,
+    smallest m first; the labeled counts of a list add up to 2^(m choose 2).
 
     The classes on m nodes are grown from those on m - 1 by joining a new
     vertex to every subset of the old ones, and deduplicated by
-    `_canonical_form`. Each class is yielded in its canonical labeling, in
-    ascending order of its code.
+    `_canonical_form`. A class's parents are the classes it is grown from:
+    deleting the new vertex gives back the parent, and every G - v grows
+    back into G, so they are exactly the classes of its G - v; `wg speed`
+    counts a class as a non-member without a search when one of them was
+    refuted, provided that the cap on word length admits conclusive
+    answers at size n (see `cli._speed_layers`). Each list is in
+    ascending order of code.
     """
     nodes = _enumeration_nodes(n, node_budget)
-    classes: dict[int, tuple[list[int], int]] = {0: ([], 1)}
-    for m in range(1, n + 1):
-        grown: dict[int, tuple[list[int], int]] = {}
-        new = m - 1
-        for adj, _ in classes.values():
-            for joined in range(1 << new):
-                masks = [a | (joined >> i & 1) << new for i, a in enumerate(adj)]
-                masks.append(joined)
-                code, automorphisms, order = _canonical_form(masks)
-                if code not in grown:
-                    canonical = [_compress(masks[v], order) for v in order]
-                    grown[code] = (canonical, automorphisms)
-        classes = grown
-    for code in sorted(classes):
-        adj, automorphisms = classes[code]
-        edges = [(nodes[i], nodes[j]) for i in range(n) for j in range(i) if adj[i] >> j & 1]
-        yield Graph(nodes, edges), factorial(n) // automorphisms
+    # code -> (canonical neighbour masks, |Aut|, parent codes)
+    classes: dict[int, tuple[list[int], int, set[int]]] = {0: ([], 1, set())}
+    for m in range(n + 1):
+        if m:
+            grown: dict[int, tuple[list[int], int, set[int]]] = {}
+            new = m - 1
+            for parent, (adj, _, _) in classes.items():
+                for joined in range(1 << new):
+                    masks = [a | (joined >> i & 1) << new for i, a in enumerate(adj)]
+                    masks.append(joined)
+                    code, automorphisms, order = _canonical_form(masks)
+                    if code not in grown:
+                        canonical = [_compress(masks[v], order) for v in order]
+                        grown[code] = (canonical, automorphisms, set())
+                    grown[code][2].add(parent)
+            classes = grown
+        relabelings = factorial(m)
+        layer = []
+        for code in sorted(classes):
+            adj, automorphisms, parents = classes[code]
+            edges = [(nodes[i], nodes[j]) for i in range(m) for j in range(i) if adj[i] >> j & 1]
+            graph = Graph(nodes[:m], edges)
+            layer.append(_GraphClass(code, graph, relabelings // automorphisms, frozenset(parents)))
+        yield layer

@@ -14,9 +14,19 @@ from wordgraphs import (
     represent_clique_partition,
     serialize,
 )
-from wordgraphs.cli import main
+from wordgraphs.cli import _speed_layers, main
 from wordgraphs.errors import BudgetExceededError
-from wordgraphs.graphs import enumerate_labeled_graphs, is_threshold
+from wordgraphs.graphs import (
+    Graph,
+    _canonical_form,
+    _graph_classes,
+    _neighbour_masks,
+    bell_number,
+    empty_graph,
+    enumerate_labeled_graphs,
+    fixture,
+    is_threshold,
+)
 from wordgraphs.representability import MembershipQuery, decide_membership
 
 
@@ -446,6 +456,90 @@ def test_speed_budget_len_matches_the_labeled_loop(capsys, kind, k):
             assert out.startswith(f"count: {count} of 64 graphs")
 
 
+def _per_class_speed(kind, k, n, max_len, as_json):
+    """(code, stdout, stderr) of `wg speed` as a plain loop that decides
+    every n-node class by itself, with no store of refuted classes."""
+    *_, layer = _graph_classes(n)
+    count = threshold_count = 0
+    for cls in layer:
+        query = MembershipQuery(graph=cls.graph, class_kind=kind, k=k, node_budget=n, max_len=max_len)
+        try:
+            member, _ = decide_membership(query)
+        except BudgetExceededError as exc:
+            return 3, "", f"error: {exc}\n"
+        count += member * cls.labeled
+        threshold_count += is_threshold(cls.graph) * cls.labeled
+    total = 2 ** (n * (n - 1) // 2)
+    crosscheck = (kind, k) == ("L", 1)
+    if as_json:
+        payload = {"bell": bell_number(n), "class": kind, "count": count, "k": k, "n": n, "total": total}
+        if crosscheck:
+            payload["threshold_count"] = threshold_count
+        return 0, json.dumps(payload, sort_keys=True) + "\n", ""
+    lines = [f"count: {count} of {total} graphs (class {kind}, k={k}, n={n})"]
+    if crosscheck:
+        lines.append(f"threshold cross-check: {threshold_count} (agree)")
+    lines.append(f"bell B_{n}: {bell_number(n)}")
+    return 0, "\n".join(lines) + "\n", ""
+
+
+@pytest.mark.parametrize("kind, k", SPEED_CLASSES)
+def test_speed_budget_len_matches_the_per_class_loop_at_five_nodes(capsys, kind, k):
+    # L,1 has no 3-node non-member, so only at n = 5 does a 4-node "no"
+    # settle classes and a wrong cap guard show
+    complete = 5 * (k if kind == "R" else k + 1)
+    for cap in range(complete + 2):
+        for flags in ((), ("--json",)):
+            got = run(
+                capsys, "speed", "--class", kind, "--k", str(k), "--n", "5", "--budget-len", str(cap), *flags
+            )
+            assert got == _per_class_speed(kind, k, 5, cap or None, bool(flags)), (cap, flags)
+
+
+def _class_key(g):
+    return len(g.nodes), _canonical_form(_neighbour_masks(g))[0]
+
+
+def _sweep_answers(kind, k, n):
+    """Membership of every class up to n nodes by (size, code), and the
+    labeled counts of the minimal non-members: refuted classes whose every
+    G - v is a member."""
+    answers = {}
+    minimal = {}
+    for layer in _speed_layers(kind, k, n, node_budget=n, max_len=None):
+        for cls, member in layer:
+            m = len(cls.graph.nodes)
+            answers[m, cls.code] = member
+            if not member and all(answers[m - 1, p] for p in cls.parents):
+                minimal[m, cls.code] = cls.labeled
+    return answers, minimal
+
+
+def test_speed_layers_give_the_minimal_forbidden_subgraphs():
+    hub = [("0", v) for v in "12345"]
+    wheel = Graph("012345", hub + [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("1", "5")])
+    triangles = [("1", "2"), ("2", "3"), ("1", "3"), ("4", "5"), ("5", "6"), ("4", "6")]
+    prism = Graph("123456", triangles + [("1", "4"), ("2", "5"), ("3", "6")])
+    sweeps = {(kind, k): _sweep_answers(kind, k, 6) for kind, k in SPEED_CLASSES + [("R", 3)]}
+    # Chvatal and Hammer: threshold graphs are the (2K2, C4, P4)-free graphs
+    assert sweeps["L", 1][1] == {
+        _class_key(fixture("2K2")): 3,
+        _class_key(fixture("P4")): 12,
+        _class_key(fixture("C4")): 3,
+    }
+    # one copy per letter represents only complete graphs
+    assert sweeps["R", 1][1] == {_class_key(empty_graph(2)): 1}
+    assert sweeps["R", 2][1] == {_class_key(wheel): 72, _class_key(prism): 60}
+    assert sweeps["L", 2][1] == {_class_key(wheel): 72}
+    assert sweeps["R", 3][1] == {_class_key(wheel): 72}
+    # criterion 7, L_k within R_(k+1), up to 6 nodes: no R_(k+1) obstruction
+    # is in L_k, and so no member of L_k is outside R_(k+1)
+    for k in (1, 2):
+        local, bounded = sweeps["L", k][0], sweeps["R", k + 1][0]
+        assert not any(local[key] for key in sweeps["R", k + 1][1])
+        assert all(bounded[key] for key, member in local.items() if member)
+
+
 def test_speed_six_nodes_need_a_budget(capsys):
     code, out, err = run(capsys, "speed", "--class", "L", "--k", "1", "--n", "6")
     assert (code, out, err) == (3, "", "error: 6 nodes exceeds the enumeration budget 5\n")
@@ -457,7 +551,7 @@ def test_speed_six_nodes_need_a_budget(capsys):
         ("L", 1, 6, 2874),  # OEIS A005840
         ("R", 2, 6, 32636),
         ("L", 2, 6, 32696),
-        pytest.param("L", 1, 7, 29024, marks=pytest.mark.slow),  # OEIS A005840
+        ("L", 1, 7, 29024),  # OEIS A005840
         pytest.param("R", 2, 7, 1954100, marks=pytest.mark.slow),
     ],
 )

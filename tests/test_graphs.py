@@ -231,12 +231,29 @@ CLASS_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]  # OEIS A000088
 
 
 def test_graph_classes_counts():
-    for n, classes in enumerate(CLASS_COUNTS):
-        found = list(_graph_classes(n, node_budget=7))
-        assert len(found) == classes
-        assert sum(labeled for _, labeled in found) == 2 ** (n * (n - 1) // 2)
-        for g, _ in found:
-            assert g.nodes == frozenset(str(i) for i in range(1, n + 1))
+    layers = list(_graph_classes(7, node_budget=7))
+    assert [len(layer) for layer in layers] == CLASS_COUNTS
+    for n, layer in enumerate(layers):
+        assert sum(cls.labeled for cls in layer) == 2 ** (n * (n - 1) // 2)
+        codes = [cls.code for cls in layer]
+        assert codes == sorted(codes)
+        for cls in layer:
+            assert cls.graph.nodes == frozenset(str(i) for i in range(1, n + 1))
+            assert cls.code == _canonical_form(_neighbour_masks(cls.graph))[0]
+
+
+def test_graph_classes_parents_are_the_classes_of_g_minus_v():
+    layers = list(_graph_classes(6, node_budget=6))
+    assert layers[0][0].parents == frozenset()
+    for n, layer in enumerate(layers[1:], 1):
+        smaller = {cls.code for cls in layers[n - 1]}
+        for cls in layer:
+            deleted = {
+                _canonical_form(_neighbour_masks(induced_subgraph(cls.graph, cls.graph.nodes - {v})))[0]
+                for v in cls.graph.nodes
+            }
+            assert cls.parents == deleted
+            assert cls.parents <= smaller
 
 
 def test_graph_classes_checks_like_the_labeled_enumeration():
@@ -257,9 +274,9 @@ def _brute_force_code(g, n):
 
 
 def test_graph_classes_match_brute_force_relabeling():
-    for n in range(6):
+    for n, layer in enumerate(_graph_classes(5)):
         sizes = collections.Counter(_brute_force_code(g, n) for g in enumerate_labeled_graphs(n))
-        found = [(_brute_force_code(g, n), labeled) for g, labeled in _graph_classes(n)]
+        found = [(_brute_force_code(cls.graph, n), cls.labeled) for cls in layer]
         assert len(found) == len(sizes)
         assert dict(found) == sizes
 
@@ -273,9 +290,8 @@ def test_graph_classes_match_the_networkx_atlas():
     for h in graphs:
         g = Graph([str(v) for v in h.nodes], [(str(u), str(v)) for u, v in h.edges])
         atlas[len(g.nodes)].add(_canonical_form(_neighbour_masks(g))[0])
-    for n in range(8):
-        ours = {_canonical_form(_neighbour_masks(g))[0] for g, _ in _graph_classes(n, node_budget=7)}
-        assert ours == atlas[n]
+    for n, layer in enumerate(_graph_classes(7, node_budget=7)):
+        assert {cls.code for cls in layer} == atlas[n]
 
 
 def test_bell_numbers():
