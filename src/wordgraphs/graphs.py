@@ -98,6 +98,10 @@ def to_edge_list_text(g: Graph) -> str:
     """Edge-list form: one "u v" line per edge plus "node u" for isolated nodes."""
     if "node" in g.nodes:
         raise ValueError('the node id "node" is reserved in edge-list text; use JSON')
+    for v in sorted(g.nodes):
+        # the reader splits lines on whitespace, so such an id would not come back
+        if v.split() != [v]:
+            raise ValueError(f"node id {v!r} is empty or holds whitespace in edge-list text; use JSON")
     covered = {v for e in g.edges for v in e}
     lines = [f"{u} {v}" for u, v in g.sorted_edges()]
     lines.extend(f"node {v}" for v in sorted(g.nodes - covered))

@@ -9,6 +9,7 @@ produces more than k blocks, and its locality is the least such k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import BudgetExceededError
@@ -128,7 +129,9 @@ def _marking_stages(word: Word, sigma: Sequence[str]) -> list[_Stage]:
     and the whole run O(n + total block count).
     """
     sig = _check_sequence(word, sigma)
-    positions = _positions_by_letter(word)
+    positions: dict[str, list[int]] = {}
+    for p, x in enumerate(word, 1):
+        positions.setdefault(x, []).append(p)
     stages: list[_Stage] = []
     blocks: tuple[tuple[int, int], ...] = ()
     for c in sig:
@@ -157,15 +160,9 @@ def _marking_stages(word: Word, sigma: Sequence[str]) -> list[_Stage]:
 
 def max_block_count(word: Word, sigma: Sequence[str]) -> int:
     """Largest block count any stage of sigma reaches on the word."""
-    sig = _check_sequence(word, sigma)
-    positions = _positions_by_letter(word)
-    marked = bytearray(len(word) + 2)
-    blocks = high = 0
-    for c in sig:
-        blocks += _mark(marked, positions[c])
-        if blocks > high:
-            high = blocks
-    return high
+    ends = _run_ends(word, _check_sequence(word, sigma))
+    # letter i of sigma is marked after the letters whose bits lie below its own
+    return max(accumulate(_blocks_added(e, (1 << i) - 1) for i, e in enumerate(ends)), default=0)
 
 
 def is_k_local_with(word: Word, sigma: Sequence[str], k: int) -> bool:
@@ -174,25 +171,33 @@ def is_k_local_with(word: Word, sigma: Sequence[str], k: int) -> bool:
     return max_block_count(word, sigma) <= k
 
 
-def _positions_by_letter(word: Word) -> dict[str, tuple[int, ...]]:
-    """1-based positions of every letter, to index a marking array with sentinels."""
-    positions: dict[str, list[int]] = {}
-    for p, x in enumerate(word, 1):
-        positions.setdefault(x, []).append(p)
-    return {c: tuple(ps) for c, ps in positions.items()}
+def _run_ends(word: Word, letters: Sequence[str]) -> list[list[tuple[int, int]]]:
+    """Per letter, how often each key ends one of its maximal runs: both letters'
+    bits (letter i's is 1 << i) where two runs meet, the run's bit alone at a word end."""
+    bits = {c: 1 << i for i, c in enumerate(letters)}
+    keys: dict[int, int] = {}
+    prev = 0
+    for b in [*map(bits.__getitem__, word), 0]:
+        if b != prev:
+            keys[prev | b] = keys.get(prev | b, 0) + 1
+            prev = b
+    ends: dict[int, list[tuple[int, int]]] = {b: [] for b in bits.values()}
+    for pair, k in keys.items():
+        low = pair & -pair
+        ends[low].append((pair, k))
+        if pair != low:
+            ends[pair ^ low].append((pair, k))
+    return list(ends.values())
 
 
-def _mark(marked: bytearray, ps: tuple[int, ...]) -> int:
-    """Mark positions ps and return the change in the block count.
-
-    marked has len(word) + 2 slots; slots 0 and len(word) + 1 stay
-    unmarked, so every position has two neighbours to look at.
-    """
-    delta = 0
-    for p in ps:
-        marked[p] = 1
-        delta += 1 - marked[p - 1] - marked[p + 1]
-    return delta
+def _blocks_added(ends: list[tuple[int, int]], done: int) -> int:
+    """Blocks gained by marking a letter after the letter set done, in any
+    order: one per run, less one per run end at a marked letter. With two
+    ends per run, that is half the free ends less half the others."""
+    blocks = 0
+    for pair, k in ends:
+        blocks += -k if done & pair else k
+    return blocks // 2
 
 
 def _budgeted_letters(word: Word, letter_budget: int) -> list[str]:
@@ -229,46 +234,48 @@ def _search(
     set whose prefix maximum alone reached best_k does not die: a later,
     lower prefix may still finish it. Only sets the search visits are
     stored. Between two improvements of best_k a set is entered at most
-    once, since an entry that finds none leaves it dead, and the children
-    of one set mark at most n positions together; so for m letters and n
-    positions the work is O(2^m * n) per improvement, where the search
-    over orders alone was O(m! * n).
+    once, since an entry that finds none leaves it dead, and a child's
+    count costs one look per letter its runs meet; so for m letters and e
+    meeting letter pairs (e < n positions) the work is O(2^m * (m + e)) per
+    improvement, where the search over orders alone was O(m! * n). The
+    path is a stack of frames, not recursion, so it may be n letters deep.
     """
-    positions = _positions_by_letter(word)
-    marked = bytearray(len(word) + 2)
+    ends = _run_ends(word, letters)
     order: list[str] = []
     full = (1 << len(letters)) - 1
     dead: set[int] = set()
     best_k = bound
     best_sigma: MarkingSequence | None = None
-
-    def dfs(blocks: int, high: int, done: int) -> bool:
-        nonlocal best_k, best_sigma
-        if done == full:
-            best_k = high
-            best_sigma = tuple(order)
-            return high <= floor
-        for idx, c in enumerate(letters):
+    # per letter set on the path: blocks, running maximum, bitmask, next letter index
+    frames = [[0, 0, 0, 0]]
+    while frames:
+        frame = frames[-1]
+        blocks, high, done, first = frame
+        for idx in range(first, len(letters)):
             t = done | 1 << idx
             if t == done or t in dead:
                 continue
-            ps = positions[c]
-            nb = blocks + _mark(marked, ps)
+            nb = blocks + _blocks_added(ends[idx], done)
             nh = high if high >= nb else nb
-            if nh < best_k:
-                order.append(c)
-                if dfs(nb, nh, t):
-                    return True
-                order.pop()
-                if nh < best_k:
+            if nh >= best_k:
+                if nb >= best_k:
                     dead.add(t)
-            elif nb >= best_k:
-                dead.add(t)
-            for p in ps:
-                marked[p] = 0
-        return False
-
-    dfs(0, 0, 0)
+            elif t == full:
+                best_k = nh
+                best_sigma = (*order, letters[idx])
+                if nh <= floor:
+                    return best_k, best_sigma
+            else:
+                frame[3] = idx + 1
+                order.append(letters[idx])
+                frames.append([nb, nh, t, 0])
+                break
+        else:
+            frames.pop()
+            if frames:
+                order.pop()
+                if high < best_k:
+                    dead.add(done)
     return None if best_sigma is None else (best_k, best_sigma)
 
 

@@ -40,6 +40,10 @@ def test_graph_edge_list(capsys):
     code, out, _ = run(capsys, "graph", "balloon")
     assert code == 0
     assert out == "a b\na n\nb n\nnode l\nnode o\n"
+    # a space is a letter of the word but cannot be an edge-list node id
+    code, out, err = run(capsys, "graph", "a b")
+    assert (code, out) == (2, "")
+    assert "use JSON" in err
 
 
 def test_graph_json(capsys):

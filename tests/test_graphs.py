@@ -125,6 +125,10 @@ def test_edge_list_round_trip():
     for _ in range(50):
         g = random_graph(rng, [f"v{i}" for i in range(rng.randrange(0, 7))])
         assert graph_from_edge_list_text(to_edge_list_text(g)) == g
+    # ids the line reader would split or drop are refused, as "node" is
+    for bad in ("", " ", "a b", "\t", "x\n", "\u2028"):
+        with pytest.raises(ValueError, match="use JSON"):
+            to_edge_list_text(graph_on(["a", bad], [("a", bad)]))
 
 
 def test_edge_list_format():

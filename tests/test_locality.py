@@ -204,15 +204,23 @@ def test_is_k_local_agrees_with_locality():
 
 def test_max_block_count_matches_stage_traces():
     rng = random.Random(47)
+    words = []
     for _ in range(300):
         n = rng.randrange(2, 14)
         tokens = rng.random() < 0.3
         pool = ("x1", "y", "zz", "w") if tokens else "abcd"
         letters = [rng.choice(pool) for _ in range(n)]
-        # the first and last positions share a letter, touching both sentinels
+        # the first and last positions share a letter: one run meets both ends
         letters[-1] = letters[0]
-        word = tuple(letters) if tokens else "".join(letters)
-        sigma = list(set(letters))
+        words.append(tuple(letters) if tokens else "".join(letters))
+    for _ in range(60):
+        # long first and last runs, of one letter or of two
+        middle = [rng.choice("abcde") for _ in range(rng.randrange(0, 12))]
+        first, last = rng.choice("abcde"), rng.choice("abcde")
+        words.append(first * rng.randint(2, 30) + "".join(middle) + last * rng.randint(2, 30))
+    words.extend(wide_words())
+    for word in words:
+        sigma = sorted(set(word))
         rng.shuffle(sigma)
         expected = max(t.block_count for t in simulate_marking(word, sigma))
         assert max_block_count(word, sigma) == expected, (word, sigma)
@@ -380,19 +388,19 @@ def random_long_word():
 
 def test_locality_of_long_word_expands_each_letter_set_about_once(monkeypatch):
     # 12 letters and 2000 positions: the search over marking orders took
-    # seconds here; over letter sets it expands fewer children than the
+    # seconds here; over letter sets it evaluates fewer children than the
     # 12 * 2^11 edges of the subset lattice
     word = random_long_word()
     k, witness = subset_dp_locality(word)
     search = sys.modules["wordgraphs.locality"]
-    mark = search._mark
+    blocks_added = search._blocks_added
     calls = []
 
-    def counted(marked, ps):
+    def counted(ends, done):
         calls.append(None)
-        return mark(marked, ps)
+        return blocks_added(ends, done)
 
-    monkeypatch.setattr(search, "_mark", counted)
+    monkeypatch.setattr(search, "_blocks_added", counted)
     assert locality(word) == (k, witness)
     assert not is_k_local(word, k - 1)
     assert len(calls) <= 12 * 2**11
@@ -419,3 +427,15 @@ def test_cli_locality_of_forty_distinct_tokens(capsys):
     assert main(["locality", word, "--tokens", "--budget-letters", "40", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["locality"], out["witness"]) == (1, tokens)
+
+
+def test_cli_locality_and_check_of_two_thousand_distinct_tokens(capsys):
+    # one letter per step of the search: deeper than the recursion limit
+    tokens = [f"w{i:04}" for i in range(2000)]
+    word = " ".join(reversed(tokens))
+    flags = ["--tokens", "--budget-letters", "2000", "--json"]
+    assert main(["locality", word, *flags]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["locality"], out["witness"]) == (1, tokens)
+    assert main(["check", word, "--k", "1", *flags]) == 0
+    assert json.loads(capsys.readouterr().out)["k_local"] is True
