@@ -46,6 +46,7 @@ from .locality import (
     locality,
     max_block_count,
     simulate_marking,
+    _check_k,
 )
 from .representability import (
     DECIDE_NODE_BUDGET_DEFAULT,
@@ -179,8 +180,7 @@ def _cmd_locality(args) -> int:
 
 def _cmd_check(args) -> int:
     word = _word(args)
-    if args.k < 1:
-        raise ValueError(f"need k >= 1, got {args.k}")
+    _check_k(args.k)
     if args.sigma is not None:
         sigma = _sigma(args.sigma)
         traces = simulate_marking(word, sigma)

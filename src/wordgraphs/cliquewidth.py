@@ -14,8 +14,8 @@ import re
 from dataclasses import dataclass, fields
 from typing import Any, NamedTuple, Sequence, Union as TypeUnion
 
-from .graphs import Graph, adjacency
-from .locality import TWO, Label, _marking_stages, _occupancy_label, label_sort_key
+from .graphs import Graph, _neighbour_masks
+from .locality import TWO, Label, _check_k, _marking_stages, _occupancy_label, label_sort_key
 from .words import Word, graph_of_word
 
 
@@ -410,13 +410,12 @@ def build_expression(word: Word, sigma: Sequence[str], k: int) -> CwdExpression:
 
     The stages come from `locality._marking_stages`. A stage costs
     O(2^k k) label work and 2^k + 1 operations on |A|-bit letter masks,
-    plus the new letter's occurrences and degree; no stage looks at every
-    letter. Add `graph_of_word` and the final check. The result is checked
-    before returning: it must evaluate to the graph of the word with the
+    plus the new letter's occurrences; no stage looks at every letter.
+    Add `graph_of_word` and the final check. The result is checked before
+    returning: it must evaluate to the graph of the word with the
     final stage's block labels.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    _check_k(k)
     if not len(word):
         raise ValueError("the empty word has no expression")
     stages = _marking_stages(word, sigma)
@@ -424,8 +423,8 @@ def build_expression(word: Word, sigma: Sequence[str], k: int) -> CwdExpression:
     if worst > k:
         raise ValueError(f"{tuple(sigma)!r} reaches {worst} blocks, more than k={k}")
     target = graph_of_word(word)
-    adj = adjacency(target)
-    letters = [c for c, _, _, _ in stages]
+    letters = target.sorted_nodes()
+    adj = dict(zip(letters, _neighbour_masks(target)))
     bit = {c: 1 << i for i, c in enumerate(letters)}
     zero = (0,) * k
 
@@ -434,7 +433,7 @@ def build_expression(word: Word, sigma: Sequence[str], k: int) -> CwdExpression:
     for stage, (a, _, origins, counts) in enumerate(stages, 1):
         piece: CwdExpression = Create(zero, a)
         expr = piece if expr is None else Union(piece, expr)
-        near = sum(bit[x] for x in adj[a])
+        near = adj[a]
         positions = [j for j, org in enumerate(origins) if org]
         wired: list[Label] = []
         merge_map: dict[Label, Label] = {}

@@ -246,6 +246,12 @@ def induced_subgraph(g: Graph, keep: Iterable[str]) -> Graph:
     return Graph(members, (e for e in g.edges if e[0] in members and e[1] in members))
 
 
+def _check_node_budget(g: Graph, node_budget: int) -> None:
+    """Exhaustive checks refuse graphs beyond their node budget."""
+    if len(g.nodes) > node_budget:
+        raise BudgetExceededError(f"graph has {len(g.nodes)} nodes, budget is {node_budget}")
+
+
 def _neighbour_masks(g: Graph) -> list[int]:
     """Bit j of entry i is set when the i-th and j-th sorted nodes are adjacent."""
     index = {v: i for i, v in enumerate(g.sorted_nodes())}
@@ -330,10 +336,7 @@ def _canonical_form(adj: list[int]) -> tuple[int, int, list[int]]:
 
 def contains_induced(g: Graph, h: Graph, *, node_budget: int = NODE_BUDGET_DEFAULT) -> bool:
     """Whether some induced subgraph of g is isomorphic to h (exhaustive)."""
-    if len(g.nodes) > node_budget:
-        raise BudgetExceededError(
-            f"graph has {len(g.nodes)} nodes, budget is {node_budget}"
-        )
+    _check_node_budget(g, node_budget)
     size = len(h.nodes)
     if size > len(g.nodes):
         return False
@@ -346,25 +349,22 @@ def contains_induced(g: Graph, h: Graph, *, node_budget: int = NODE_BUDGET_DEFAU
 
 
 def is_threshold(g: Graph) -> bool:
-    """Reduce by repeatedly deleting an isolated node, else a universal one.
+    """Reduce by repeatedly deleting an isolated node or a universal one.
 
-    The graph is threshold exactly when this reaches the empty graph. The
-    victim is the lowest-named candidate so runs are reproducible.
+    The graph is threshold exactly when this reaches the empty graph. A
+    graph with an isolated or universal node v is threshold exactly when
+    G - v is, so the order of the deletions does not matter.
     """
-    adj = adjacency(g)
-    while adj:
-        isolated = [v for v, ns in adj.items() if not ns]
-        if isolated:
-            victim = min(isolated)
-        else:
-            full = len(adj) - 1
-            universal = [v for v, ns in adj.items() if len(ns) == full]
-            if not universal:
-                return False
-            victim = min(universal)
-        adj.pop(victim)
-        for ns in adj.values():
-            ns.discard(victim)
+    adj = _neighbour_masks(g)
+    live = (1 << len(adj)) - 1
+    while live:
+        before = live
+        for i, ns in enumerate(adj):
+            bit = 1 << i
+            if live & bit and (ns & live) in (0, live ^ bit):
+                live ^= bit
+        if live == before:
+            return False
     return True
 
 
@@ -392,40 +392,36 @@ def partitionable_into(
     """
     if independent_parts < 0 or clique_parts < 0:
         raise ValueError("part counts must be non-negative")
-    if len(g.nodes) > node_budget:
-        raise BudgetExceededError(
-            f"graph has {len(g.nodes)} nodes, budget is {node_budget}"
-        )
+    _check_node_budget(g, node_budget)
     nodes = g.sorted_nodes()
-    adj = adjacency(g)
+    adj = _neighbour_masks(g)
     kinds = ("independent",) * independent_parts + ("clique",) * clique_parts
-    parts: list[set[str]] = [set() for _ in kinds]
-
-    def fits(v: str, p: int) -> bool:
-        if kinds[p] == "independent":
-            return not (adj[v] & parts[p])
-        return parts[p] <= adj[v]
+    parts = [0] * len(kinds)  # bitmasks over the indices of nodes
 
     def assign(i: int) -> bool:
         if i == len(nodes):
             return True
-        v = nodes[i]
+        bit = 1 << i
+        # the members that keep node i out: its neighbours or its non-neighbours
+        barred = {"independent": adj[i], "clique": ~adj[i]}
         opened: set[str] = set()
         for p, kind in enumerate(kinds):
             if not parts[p]:
                 if kind in opened:
                     continue
                 opened.add(kind)
-            if fits(v, p):
-                parts[p].add(v)
+            if not parts[p] & barred[kind]:
+                parts[p] |= bit
                 if assign(i + 1):
                     return True
-                parts[p].remove(v)
+                parts[p] ^= bit
         return False
 
     if assign(0):
         certificate = tuple(
-            (kinds[p], frozenset(parts[p])) for p in range(len(kinds)) if parts[p]
+            (kind, frozenset(v for j, v in enumerate(nodes) if part >> j & 1))
+            for kind, part in zip(kinds, parts)
+            if part
         )
         return True, certificate
     return False, None

@@ -165,9 +165,14 @@ def max_block_count(word: Word, sigma: Sequence[str]) -> int:
     return max(accumulate(_blocks_added(e, (1 << i) - 1) for i, e in enumerate(ends)), default=0)
 
 
-def is_k_local_with(word: Word, sigma: Sequence[str], k: int) -> bool:
+def _check_k(k: int) -> None:
+    """Every block bound k is a positive count."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+
+
+def is_k_local_with(word: Word, sigma: Sequence[str], k: int) -> bool:
+    _check_k(k)
     return max_block_count(word, sigma) <= k
 
 
@@ -293,8 +298,7 @@ def locality(
 
 def is_k_local(word: Word, k: int, *, letter_budget: int = LETTER_BUDGET_DEFAULT) -> bool:
     """Whether some marking sequence keeps the word within k blocks."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    _check_k(k)
     if not len(word):
         return True
     letters = _budgeted_letters(word, letter_budget)
@@ -308,8 +312,7 @@ def block_labels(trace: StageTrace, k: int) -> dict[str, Label]:
     tuple with slot j telling whether the letter sits in block j. Unmarked
     letters are left out.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    _check_k(k)
     if trace.block_count > k:
         raise ValueError(
             f"stage {trace.stage_index} has {trace.block_count} blocks, more than k={k}"

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetExceededError
-from .graphs import Graph, _clique_parts, _compress, _neighbour_masks, adjacency
+from .graphs import Graph, _check_node_budget, _clique_parts, _compress, _neighbour_masks
 from .locality import (
     LETTER_BUDGET_DEFAULT,
     MarkingSequence,
+    _check_k,
     is_k_local,
     is_k_local_with,
     locality,
@@ -39,8 +40,7 @@ def oversized_letters(
     searched for. Every returned letter is checked to alternate with no
     other letter, which is forced at these occurrence counts.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    _check_k(k)
     if sigma is not None:
         if not is_k_local_with(word, sigma, k):
             raise ValueError(f"{sigma!r} does not witness {k}-locality")
@@ -50,12 +50,12 @@ def oversized_letters(
             raise ValueError(f"word has locality {found}, not {k}-local")
     counts = Counter(word)
     oversized = frozenset(c for c, m in counts.items() if m > k + 1)
-    adj = adjacency(graph_of_word(word))
-    for c in oversized:
-        if adj[c]:
-            raise RuntimeError(
-                f"internal: oversized letter {c!r} alternates with {sorted(adj[c])!r}"
-            )
+    target = graph_of_word(word)
+    letters = target.sorted_nodes()
+    for c, near in zip(letters, _neighbour_masks(target)):
+        if c in oversized and near:
+            partners = [d for j, d in enumerate(letters) if near >> j & 1]
+            raise RuntimeError(f"internal: oversized letter {c!r} alternates with {partners!r}")
     return oversized
 
 
@@ -145,16 +145,14 @@ def decide_membership(
     """
     g = query.graph
     k = query.k
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    _check_k(k)
     if query.class_kind not in ("L", "R"):
         raise ValueError(f'class_kind must be "L" or "R", got {query.class_kind!r}')
     for field in ("node_budget", "max_len"):
         if (getattr(query, field) or 0) < 0:
             raise ValueError(f"{field} must be >= 0, got {getattr(query, field)}")
+    _check_node_budget(g, query.node_budget)
     n = len(g.nodes)
-    if n > query.node_budget:
-        raise BudgetExceededError(f"graph has {n} nodes, budget is {query.node_budget}")
     if n == 0:
         return True, make_word(())
     letters = g.sorted_nodes()
@@ -207,16 +205,19 @@ def decide_membership(
 def _clique_number(adj: list[int]) -> int:
     """Size of a largest clique; adj[i] is the neighbour bitmask of node i."""
     best = 0
-
-    def grow(size: int, candidates: int) -> None:
-        nonlocal best
-        best = max(best, size)
-        while candidates and size + candidates.bit_count() > best:
+    # the candidates left to each member of the clique being grown, on an
+    # explicit stack: a clique may be larger than the recursion limit
+    stack = [(1 << len(adj)) - 1]
+    while stack:
+        size = len(stack) - 1
+        candidates = stack[-1]
+        if candidates and size + candidates.bit_count() > best:
             low = candidates & -candidates
-            candidates ^= low
-            grow(size + 1, candidates & adj[low.bit_length() - 1])
-
-    grow(0, (1 << len(adj)) - 1)
+            stack[-1] = candidates = candidates ^ low
+            stack.append(candidates & adj[low.bit_length() - 1])
+            best = max(best, size + 1)
+        else:
+            stack.pop()
     return best
 
 
@@ -236,36 +237,45 @@ def _search_exact_length(
     since[c], the letters seen after c's last occurrence (all of them while
     c is unused), is the whole pair state of c. doubled[c] holds the letters
     whose projection with c has repeated a letter, scarce the letters with
-    at most one copy left.
+    at most one copy left. Every position but the last keeps a frame on an
+    explicit stack, its letter and the state before it, so a word may be
+    longer than the recursion limit; the last letter is checked in place.
     """
+    if not length:
+        return [] if not undoubled_nonedges else None
     n = len(letters)
     full = (1 << n) - 1
     used = [0] * n
-    word: list[int] = []
-
-    def dfs(zeros: int, pending: int, since: list[int], doubled: list[int], scarce: int) -> bool:
-        if len(word) == length:
-            if pending != 0:
-                return False
-            if local_k is not None:
-                candidate = [letters[i] for i in word]
-                # the node budget already admitted these letters
-                if not is_k_local(candidate, local_k, letter_budget=n):
-                    return False
-            return True
-        slots = length - len(word) - 1
-        for c in range(n):
-            if used[c] == maxc:
+    frames: list[tuple[int, int, int, list[int], list[int], int]] = []
+    zeros, pending, scarce = n, undoubled_nonedges, full if maxc < 2 else 0
+    since, doubled = [full] * n, [0] * n
+    start = 0  # the first letter to try at the current position
+    while True:
+        slots = length - len(frames) - 1
+        for c in range(start, n):
+            count = used[c]
+            if count == maxc:
                 continue
             bit = 1 << c
             # pairs whose projection would repeat c
             stale = full & ~since[c] & ~bit
             if stale & adj[c]:
                 continue
-            new_zeros = zeros - (1 if used[c] == 0 else 0)
+            new_zeros = zeros - (1 if count == 0 else 0)
             if new_zeros > slots:
                 continue
             fresh = stale & ~doubled[c]
+            left = maxc - count - 1
+            # a spent c can no longer double its pair with a scarce non-neighbour
+            if not left and ~adj[c] & ~(doubled[c] | fresh) & scarce & ~bit:
+                continue
+            if not slots:
+                # c ends the word; the node budget already admitted its letters
+                if pending == fresh.bit_count():
+                    word = [letters[f[0]] for f in frames] + [letters[c]]
+                    if local_k is None or is_k_local(word, local_k, letter_budget=n):
+                        return word
+                continue
             new_doubled = doubled
             if fresh:
                 new_doubled = doubled.copy()
@@ -273,20 +283,18 @@ def _search_exact_length(
                 for d in range(n):
                     if fresh >> d & 1:
                         new_doubled[d] |= bit
-            used[c] += 1
-            left = maxc - used[c]
-            # a spent c can no longer double its pair with a scarce non-neighbour
-            if left or not ~adj[c] & ~new_doubled[c] & scarce & ~bit:
-                new_since = [s | bit for s in since]
-                new_since[c] = 0
-                new_scarce = scarce | bit if left < 2 else scarce
-                word.append(c)
-                if dfs(new_zeros, pending - fresh.bit_count(), new_since, new_doubled, new_scarce):
-                    return True
-                word.pop()
+            new_since = [s | bit for s in since]
+            new_since[c] = 0
+            frames.append((c, zeros, pending, since, doubled, scarce))
+            used[c] = count + 1
+            zeros, pending, since, doubled = new_zeros, pending - fresh.bit_count(), new_since, new_doubled
+            if left < 2:
+                scarce |= bit
+            start = 0
+            break
+        else:
+            if not frames:
+                return None
+            c, zeros, pending, since, doubled, scarce = frames.pop()
             used[c] -= 1
-        return False
-
-    if dfs(n, undoubled_nonedges, [full] * n, [0] * n, full if maxc < 2 else 0):
-        return [letters[i] for i in word]
-    return None
+            start = c + 1

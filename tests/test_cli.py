@@ -197,6 +197,20 @@ def test_decide_class_l_leaf_check_is_within_node_budget(capsys, tmp_path):
     assert out == "member: yes\nwitness: 1 10 11 12 13 2 3 4 5 6 7 8 9\n"
 
 
+def test_decide_takes_a_thousand_node_clique_within_its_budget(capsys, tmp_path):
+    # the clique and word searches keep explicit stacks: a thousand members
+    # and a thousand positions are far beyond the recursion limit
+    code, graph, _ = run(capsys, "gen", "complete", "1000")
+    assert code == 0
+    path = tmp_path / "k1000.json"
+    path.write_text(graph)
+    code, out, err = run(
+        capsys, "decide", "--graph", str(path), "--class", "L", "--k", "1", "--budget-nodes", "1000"
+    )
+    assert (code, err) == (0, "")
+    assert out == f"member: yes\nwitness: {' '.join(sorted(map(str, range(1, 1001))))}\n"
+
+
 def test_bad_env_budget_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("WG_BUDGET_LETTERS", "many")
     code, _, err = run(capsys, "locality", "abc")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import hashlib
 import itertools
 import random
 import re
@@ -209,6 +210,14 @@ def test_threshold_elimination_agrees_with_obstruction():
     for n in range(6):
         for g in enumerate_labeled_graphs(n):
             assert is_threshold(g) == is_threshold_by_obstruction(g), g
+    # one graph per isomorphism class up to 6 nodes
+    for m, layer in enumerate(_graph_classes(6, node_budget=6)):
+        verdicts = [is_threshold(c.graph) for c in layer]
+        for c, verdict in zip(layer, verdicts):
+            assert verdict == is_threshold_by_obstruction(c.graph, node_budget=6), c.graph
+        # a threshold graph adds an isolated or a universal vertex at a
+        # time, and the first choice does not matter: 2^(m-1) classes
+        assert sum(verdicts) == max(1, 2 ** (m - 1))
 
 
 @pytest.mark.parametrize(
@@ -360,6 +369,32 @@ def test_partitionable_into_validates_as_oracle():
             assert got == _oracle_partition(g, ind, clq), (g, ind, clq)
             if got:
                 _check_certificate(g, cert, ind, clq)
+
+
+def test_partitionable_into_agrees_with_brute_force_up_to_four_nodes():
+    for n in range(5):
+        for g in enumerate_labeled_graphs(n):
+            for ind, clq in itertools.product(range(3), repeat=2):
+                got, cert = partitionable_into(g, ind, clq)
+                assert got == _oracle_partition(g, ind, clq), (g, ind, clq)
+                if got:
+                    _check_certificate(g, cert, ind, clq)
+
+
+def test_partitionable_into_five_node_sweep_is_pinned():
+    # every answer and certificate over the 5-node graphs, with up to two
+    # parts of each kind; the members are written sorted because a
+    # frozenset's repr follows string hashing
+    lines = []
+    for g in enumerate_labeled_graphs(5):
+        for ind, clq in itertools.product(range(3), repeat=2):
+            ok, cert = partitionable_into(g, ind, clq)
+            if cert is not None:
+                cert = tuple((kind, sorted(members)) for kind, members in cert)
+            lines.append(repr((ok, cert)))
+    assert len(lines) == 9216
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert digest == "f43486976cd0662b45d05eec6c38d648125535c8"
 
 
 def _oracle_partition(g, ind, clq):
