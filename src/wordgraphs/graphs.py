@@ -255,12 +255,24 @@ def _check_node_budget(g: Graph, node_budget: int) -> None:
 def _neighbour_masks(g: Graph) -> list[int]:
     """Bit j of entry i is set when the i-th and j-th sorted nodes are adjacent."""
     index = {v: i for i, v in enumerate(g.sorted_nodes())}
-    masks = [0] * len(index)
+    near: list[list[int]] = [[] for _ in index]
     for u, v in g.edges:
         i, j = index[u], index[v]
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    return masks
+        near[i].append(j)
+        near[j].append(i)
+    return [_mask_of(js) for js in near]
+
+
+def _mask_of(indices: list[int]) -> int:
+    """The bitmask with the given bits set, read in one step from a string
+    of binary digits over their span rather than grown one bit at a time."""
+    if not indices:
+        return 0
+    low, top = min(indices), max(indices)
+    digits = bytearray(b"0") * (top - low + 1)
+    for j in indices:
+        digits[top - j] = 49  # "1"
+    return int(digits, 2) << low
 
 
 def _compress(mask: int, sub: Sequence[int]) -> int:
@@ -268,8 +280,30 @@ def _compress(mask: int, sub: Sequence[int]) -> int:
     return sum(1 << j for j, i in enumerate(sub) if mask >> i & 1)
 
 
-def _canonical_form(adj: list[int]) -> tuple[int, int, list[int]]:
-    """(code, automorphisms, order) of the graph with neighbour masks `adj`.
+def _twins(adj: list[int]) -> list[tuple[int, int]]:
+    """Transpositions (u, v) of consecutive twins, in ascending order of v.
+
+    Twins are vertices with the same neighbours apart from each other, so
+    their transposition is an automorphism. Non-adjacent twins share their
+    neighbour mask and adjacent ones their closed neighbour mask; no vertex
+    has twins of both kinds, so twinship is an equivalence, and u is the
+    largest member of v's class below v. The pairs generate every
+    permutation within the classes.
+    """
+    last: dict[int, int] = {}
+    pairs = []
+    for v, a in enumerate(adj):
+        # one dict for both kinds; the low bit tells them apart
+        for key in (a << 1, (a | 1 << v) << 1 | 1):
+            if key in last:
+                pairs.append((last[key], v))
+            last[key] = v
+    return pairs
+
+
+def _canonical_form(adj: list[int]) -> tuple[int, int, list[int], list[list[int]]]:
+    """(code, automorphisms, order, generators) of the graph with neighbour
+    masks `adj`.
 
     A cell is a set of vertices with the same (degree, sorted neighbour
     degrees); cells take consecutive positions in the order of that key.
@@ -281,57 +315,114 @@ def _canonical_form(adj: list[int]) -> tuple[int, int, list[int]]:
     them composed with the automorphisms: their count is |Aut|. `order`
     lists the vertex at each position of one of them.
 
-    The positions are filled one at a time, and a prefix whose rows already
-    exceed the best code's is cut. Of twins, vertices whose transposition is
-    an automorphism, one stands for all that are still free, weighted by
-    their number: the transposition maps one subtree onto the other.
+    The positions are filled one at a time on an explicit stack, and a
+    prefix whose rows already exceed the best code's is cut. Of twins
+    (`_twins`), one stands for all that are still free, weighted by their
+    number: the transposition maps one subtree onto the other.
+
+    `generators` generate the automorphism group, as permutations
+    (generator[v] is the image of v): the twin transpositions, then at most
+    n - 1 maps from `order` to a later leaf of the same code. Leaves that
+    tie `order` come deepest divergence first, so a tie leaving `order` at
+    position d is kept only when it joins the orbit of order[d] to another
+    under the generators kept so far and the twin transpositions among
+    order[d:]; the stabiliser of order[:d] is then generated, level by
+    level, which is McKay's search-tree argument.
     """
     n = len(adj)
+    if not n:
+        return 0, 1, [], []
     degree = [a.bit_count() for a in adj]
     key = [
-        (degree[v], sorted(degree[u] for u in range(n) if adj[v] >> u & 1))
+        (degree[v], tuple(sorted(degree[u] for u in range(n) if adj[v] >> u & 1)))
         for v in range(n)
     ]
-    by_key = sorted(range(n), key=key.__getitem__)
-    cells = [sum(1 << u for u in range(n) if key[u] == key[v]) for v in by_key]
-    width = n * (n - 1) // 2
-    best = -1
-    count = 0
-    best_order: list[int] = []
-    placed: list[int] = []
+    members: dict[tuple, int] = {}
+    for v in range(n):
+        members[key[v]] = members.get(key[v], 0) | 1 << v
+    cells = [members[key[v]] for v in sorted(range(n), key=key.__getitem__)]
+    pairs = _twins(adj)
+    # the smallest member of each twin class
+    first = list(range(n))
+    for u, v in pairs:
+        first[v] = first[u]
 
-    def place(p: int, code: int, free: int, weight: int) -> None:
-        nonlocal best, count, best_order
-        if p == n:
-            if best < 0 or code < best:
-                best, count, best_order = code, weight, placed.copy()
-            elif code == best:
-                count += weight
-            return
-        twins: list[list[int]] = []
+    def children(p: int, free: int) -> Iterator[list[int]]:
+        """[v, number of free twins v stands for] at position p."""
+        groups: dict[int, list[int]] = {}
         candidates = cells[p] & free
         while candidates:
             v = (candidates & -candidates).bit_length() - 1
             candidates &= candidates - 1
-            for twin in twins:
-                u = twin[0]
-                if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                    twin[1] += 1
-                    break
+            if first[v] in groups:
+                groups[first[v]][1] += 1
             else:
-                twins.append([v, 1])
+                groups[first[v]] = [v, 1]
+        return iter(groups.values())
+
+    width = n * (n - 1) // 2
+    best = -1
+    count = 0
+    best_order: list[int] = []
+    found: list[list[int]] = []  # leaf generators, maps from best_order
+    orbit: list[int] = []  # union-find over the vertices
+    level = n  # the twins of best_order[level:] are joined in `orbit`
+    mates: dict[int, int] = {}  # twin class -> a member among best_order[level:]
+
+    def root(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = v = orbit[orbit[v]]
+        return v
+
+    placed: list[int] = []
+    full = (1 << n) - 1
+    frames = [(children(0, full), 0, full, 1)]
+    while frames:
+        kids, code, free, weight = frames[-1]
+        p = len(placed)
         shift = width - p * (p + 1) // 2
-        for v, size in twins:
+        for v, size in kids:
             row = sum(1 << i for i, u in enumerate(placed) if adj[v] >> u & 1)
             prefix = code << p | row
             if best >= 0 and prefix > best >> shift:
                 continue
-            placed.append(v)
-            place(p + 1, prefix, free & ~(1 << v), weight * size)
-            placed.pop()
-
-    place(0, 0, (1 << n) - 1, 1)
-    return best, count, best_order
+            if p + 1 < n:
+                placed.append(v)
+                rest = free & ~(1 << v)
+                frames.append((children(p + 1, rest), prefix, rest, weight * size))
+                break
+            if best < 0 or prefix < best:
+                best, count, best_order = prefix, weight * size, placed + [v]
+                found, orbit, level, mates = [], list(range(n)), n, {}
+                continue
+            # a leaf of the best code so far: best_order and it differ by an automorphism
+            count += weight * size
+            d = 0
+            while placed[d] == best_order[d]:
+                d += 1
+            while level > d:
+                level -= 1
+                b = best_order[level]
+                if first[b] in mates:
+                    orbit[root(b)] = root(mates[first[b]])
+                mates[first[b]] = b
+            if root(best_order[d]) != root(placed[d]):
+                generator = [0] * n
+                for u, w in zip(best_order, placed + [v]):
+                    generator[u] = w
+                found.append(generator)
+                for u, w in enumerate(generator):
+                    orbit[root(u)] = root(w)
+        else:
+            frames.pop()
+            if placed:
+                placed.pop()
+    generators = []
+    for u, v in pairs:
+        transposition = list(range(n))
+        transposition[u], transposition[v] = v, u
+        generators.append(transposition)
+    return best, count, best_order, generators + found
 
 
 def contains_induced(g: Graph, h: Graph, *, node_budget: int = NODE_BUDGET_DEFAULT) -> bool:
@@ -509,37 +600,63 @@ def _graph_classes(
     smallest m first; the labeled counts of a list add up to 2^(m choose 2).
 
     The classes on m nodes are grown from those on m - 1 by joining a new
-    vertex to every subset of the old ones, and deduplicated by
-    `_canonical_form`. A class's parents are the classes it is grown from:
-    deleting the new vertex gives back the parent, and every G - v grows
-    back into G, so they are exactly the classes of its G - v; `wg speed`
-    counts a class as a non-member without a search when one of them was
-    refuted, provided that the cap on word length admits conclusive
-    answers at size n (see `cli._speed_layers`). Each list is in
-    ascending order of code.
+    vertex to subsets of the old ones, and deduplicated by
+    `_canonical_form`. An automorphism pi of the parent maps the growth by
+    S onto the growth by pi(S), so only the smallest subset of each orbit
+    of the parent's automorphism group (its `_canonical_form` generators)
+    is grown; the other subsets give the same classes from the same parent.
+    A class's parents are the classes it is grown from: deleting the new
+    vertex gives back the parent, and every G - v grows back into G, so
+    they are exactly the classes of its G - v; `wg speed` counts a class as
+    a non-member without a search when one of them was refuted, provided
+    that the cap on word length admits conclusive answers at size n (see
+    `cli._speed_layers`). Each list is in ascending order of code.
     """
     nodes = _enumeration_nodes(n, node_budget)
-    # code -> (canonical neighbour masks, |Aut|, parent codes)
-    classes: dict[int, tuple[list[int], int, set[int]]] = {0: ([], 1, set())}
+    # code -> (canonical neighbour masks, |Aut|, parent codes, automorphism
+    # generators in the canonical labeling)
+    classes: dict[int, tuple[list[int], int, set[int], list[list[int]]]] = {0: ([], 1, set(), [])}
     for m in range(n + 1):
         if m:
-            grown: dict[int, tuple[list[int], int, set[int]]] = {}
+            grown: dict[int, tuple[list[int], int, set[int], list[list[int]]]] = {}
             new = m - 1
-            for parent, (adj, _, _) in classes.items():
-                for joined in range(1 << new):
+            for parent, (adj, _, _, symmetries) in classes.items():
+                for joined in _orbit_leaders(new, symmetries):
                     masks = [a | (joined >> i & 1) << new for i, a in enumerate(adj)]
                     masks.append(joined)
-                    code, automorphisms, order = _canonical_form(masks)
+                    code, automorphisms, order, generators = _canonical_form(masks)
                     if code not in grown:
                         canonical = [_compress(masks[v], order) for v in order]
-                        grown[code] = (canonical, automorphisms, set())
+                        position = {v: p for p, v in enumerate(order)}
+                        relabeled = [[position[g[v]] for v in order] for g in generators]
+                        grown[code] = (canonical, automorphisms, set(), relabeled)
                     grown[code][2].add(parent)
             classes = grown
         relabelings = factorial(m)
         layer = []
         for code in sorted(classes):
-            adj, automorphisms, parents = classes[code]
+            adj, automorphisms, parents, _ = classes[code]
             edges = [(nodes[i], nodes[j]) for i in range(m) for j in range(i) if adj[i] >> j & 1]
             graph = Graph(nodes[:m], edges)
             layer.append(_GraphClass(code, graph, relabelings // automorphisms, frozenset(parents)))
         yield layer
+
+
+def _orbit_leaders(size: int, generators: list[list[int]]) -> Iterator[int]:
+    """The smallest subset of range(size), as a bitmask, in each orbit of
+    the group the permutations `generators` generate, in ascending order."""
+    seen = bytearray(1 << size)
+    images = [[1 << image for image in g] for g in generators]
+    for subset in range(1 << size):
+        if seen[subset]:
+            continue
+        seen[subset] = 1
+        orbit = [subset]
+        while orbit:
+            s = orbit.pop()
+            for bits in images:
+                t = sum(bit for i, bit in enumerate(bits) if s >> i & 1)
+                if not seen[t]:
+                    seen[t] = 1
+                    orbit.append(t)
+        yield subset

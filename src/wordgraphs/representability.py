@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetExceededError
-from .graphs import Graph, _check_node_budget, _clique_parts, _compress, _neighbour_masks
+from .graphs import (
+    Graph,
+    _canonical_form,
+    _check_node_budget,
+    _clique_parts,
+    _compress,
+    _neighbour_masks,
+    _twins,
+)
 from .locality import (
     LETTER_BUDGET_DEFAULT,
     MarkingSequence,
@@ -139,6 +147,18 @@ def decide_membership(
       soon as one of them is. A subgraph's "no" counts only when its own
       complete length fits within max_len.
 
+    A third cut skips words that only rename one already tried. For an
+    automorphism pi of G, pi(w) represents G with the same copy counts,
+    locality and length, so only the lexicographically least word of each
+    orbit need be searched (lex-leader symmetry breaking): a letter c is
+    skipped when some pi fixes every letter placed so far and maps c to a
+    smaller letter, and pi is dropped once it maps a placed letter to a
+    larger one. The least word of an orbit is never cut, so the answer and
+    the witness stay those of the full search. The shortest length uses
+    the twin transpositions (`graphs._twins`); the longer ones, reached
+    only when neither that length nor a G - v settled the graph, use the
+    `graphs._canonical_form` generators.
+
     The search space is complete for both classes, so within budget the
     negative answer is sound; a graph over budget raises instead of
     guessing.
@@ -161,20 +181,29 @@ def decide_membership(
     complete_len = maxc * n
     max_len = complete_len if query.max_len is None else min(query.max_len, complete_len)
     adj = _neighbour_masks(g)
+    everyone = (1 << n) - 1
     refuted: dict[int, bool] = {}
 
     def settle(keep: int, longest: int) -> list[str] | None:
         """The witness for the subgraph induced by the vertex bitmask
         `keep`, or None if it has none; raises if `longest` leaves that
         open."""
-        sub = [i for i in range(n) if keep >> i & 1]
-        sub_letters = [letters[i] for i in sub]
-        sub_adj = [_compress(adj[i] & keep, sub) for i in sub]
+        if keep == everyone:
+            sub, sub_letters, sub_adj = range(n), letters, adj
+        else:
+            sub = [i for i in range(n) if keep >> i & 1]
+            sub_letters = [letters[i] for i in sub]
+            sub_adj = [_compress(adj[i] & keep, sub) for i in sub]
         m = len(sub)
         nonedges = m * (m - 1) // 2 - sum(a.bit_count() for a in sub_adj) // 2
         shortest = 2 * m - _clique_number(sub_adj)
+        lower, higher = _lex_leader_masks(m, _twins(sub_adj), [])
         for length in range(shortest, longest + 1):
-            witness = _search_exact_length(sub_letters, sub_adj, maxc, length, local_k, nonedges)
+            if length == shortest + 1:
+                lower, higher = _lex_leader_masks(m, [], _canonical_form(sub_adj)[3])
+            witness = _search_exact_length(
+                sub_letters, sub_adj, maxc, length, local_k, nonedges, lower, higher
+            )
             if witness is not None:
                 return witness
             # G - v pays only before a longer length, and only when its "no" is
@@ -196,10 +225,32 @@ def decide_membership(
             refuted[keep] = settle(keep, maxc * keep.bit_count()) is None
         return refuted[keep]
 
-    witness = settle((1 << n) - 1, max_len)
+    witness = settle(everyone, max_len)
     if witness is None:
         return False, None
     return True, make_word(witness)
+
+
+def _lex_leader_masks(
+    n: int, transpositions: list[tuple[int, int]], permutations: list[list[int]]
+) -> tuple[list[int], list[int]]:
+    """(lower, higher): bit j of lower[c] (higher[c]) is set when the j-th
+    symmetry maps letter c to a smaller (larger) one. The symmetries are
+    the transpositions (u, v) with u < v, then the permutations."""
+    lower, higher = [0] * n, [0] * n
+    bit = 1
+    for u, v in transpositions:
+        higher[u] |= bit
+        lower[v] |= bit
+        bit <<= 1
+    for perm in permutations:
+        for c, image in enumerate(perm):
+            if image < c:
+                lower[c] |= bit
+            elif image > c:
+                higher[c] |= bit
+        bit <<= 1
+    return lower, higher
 
 
 def _clique_number(adj: list[int]) -> int:
@@ -228,6 +279,8 @@ def _search_exact_length(
     length: int,
     local_k: int | None,
     undoubled_nonedges: int,
+    lower: list[int],
+    higher: list[int],
 ) -> list[str] | None:
     """Depth-first lexicographic search for one representing word of the
     exact target length; see decide_membership for the pruning rules.
@@ -237,17 +290,19 @@ def _search_exact_length(
     since[c], the letters seen after c's last occurrence (all of them while
     c is unused), is the whole pair state of c. doubled[c] holds the letters
     whose projection with c has repeated a letter, scarce the letters with
-    at most one copy left. Every position but the last keeps a frame on an
-    explicit stack, its letter and the state before it, so a word may be
-    longer than the recursion limit; the last letter is checked in place.
+    at most one copy left. tied holds the symmetries that fix every placed
+    letter (see `_lex_leader_masks`); c is skipped when one of them maps it
+    lower. Every position but the last keeps a frame on an explicit stack,
+    its letter and the state before it, so a word may be longer than the
+    recursion limit; the last letter is checked in place.
     """
     if not length:
         return [] if not undoubled_nonedges else None
     n = len(letters)
     full = (1 << n) - 1
     used = [0] * n
-    frames: list[tuple[int, int, int, list[int], list[int], int]] = []
-    zeros, pending, scarce = n, undoubled_nonedges, full if maxc < 2 else 0
+    frames: list[tuple[int, int, int, list[int], list[int], int, int]] = []
+    zeros, pending, scarce, tied = n, undoubled_nonedges, full if maxc < 2 else 0, -1
     since, doubled = [full] * n, [0] * n
     start = 0  # the first letter to try at the current position
     while True:
@@ -259,7 +314,7 @@ def _search_exact_length(
             bit = 1 << c
             # pairs whose projection would repeat c
             stale = full & ~since[c] & ~bit
-            if stale & adj[c]:
+            if stale & adj[c] or lower[c] & tied:
                 continue
             new_zeros = zeros - (1 if count == 0 else 0)
             if new_zeros > slots:
@@ -285,9 +340,10 @@ def _search_exact_length(
                         new_doubled[d] |= bit
             new_since = [s | bit for s in since]
             new_since[c] = 0
-            frames.append((c, zeros, pending, since, doubled, scarce))
+            frames.append((c, zeros, pending, since, doubled, scarce, tied))
             used[c] = count + 1
             zeros, pending, since, doubled = new_zeros, pending - fresh.bit_count(), new_since, new_doubled
+            tied &= ~higher[c]
             if left < 2:
                 scarce |= bit
             start = 0
@@ -295,6 +351,6 @@ def _search_exact_length(
         else:
             if not frames:
                 return None
-            c, zeros, pending, since, doubled, scarce = frames.pop()
+            c, zeros, pending, since, doubled, scarce, tied = frames.pop()
             used[c] -= 1
             start = c + 1

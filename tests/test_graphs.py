@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import hashlib
 import itertools
+import math
 import random
 import re
 
@@ -35,7 +36,8 @@ from wordgraphs import (
     to_json_text,
 )
 from wordgraphs.errors import BudgetExceededError
-from wordgraphs.graphs import _canonical_form, _graph_classes, _neighbour_masks
+from wordgraphs import graphs
+from wordgraphs.graphs import _canonical_form, _compress, _graph_classes, _neighbour_masks, _twins
 
 
 def graph_on(nodes, edges):
@@ -59,6 +61,15 @@ def test_graph_normalizes_and_validates():
 def test_adjacency():
     g = fixture("P4")
     assert adjacency(g) == {"1": {"2"}, "2": {"1", "3"}, "3": {"2", "4"}, "4": {"3"}}
+    # the neighbour masks read the same adjacency, bit j for the j-th sorted node
+    rng = random.Random(7)
+    graphs = [random_graph(rng, [str(i) for i in range(rng.randrange(60))]) for _ in range(30)]
+    for g in graphs + [g, empty_graph(3), complete_graph(300), path_graph(300)]:
+        nodes = g.sorted_nodes()
+        near = adjacency(g)
+        assert _neighbour_masks(g) == [
+            sum(1 << j for j, v in enumerate(nodes) if v in near[u]) for u in nodes
+        ]
 
 
 def test_generators():
@@ -305,6 +316,122 @@ def test_graph_classes_match_the_networkx_atlas():
         atlas[len(g.nodes)].add(_canonical_form(_neighbour_masks(g))[0])
     for n, layer in enumerate(_graph_classes(7, node_budget=7)):
         assert {cls.code for cls in layer} == atlas[n]
+
+
+def _closure_size(generators, n):
+    """Number of permutations the generators generate, by closing under them."""
+    identity = tuple(range(n))
+    seen = {identity}
+    stack = [identity]
+    while stack:
+        perm = stack.pop()
+        for g in generators:
+            image = tuple(g[v] for v in perm)
+            if image not in seen:
+                seen.add(image)
+                stack.append(image)
+    return len(seen)
+
+
+def test_twins_are_the_swappable_pairs():
+    # brute force: u and v are twins when swapping them keeps every edge
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n, node_budget=5):
+            adj = _neighbour_masks(g)
+
+            def swappable(u, v):
+                swap = list(range(n))
+                swap[u], swap[v] = v, u
+                return [_compress(adj[w], swap) for w in swap] == adj
+
+            classes = {v: {v} for v in range(n)}
+            for u, v in _twins(adj):
+                assert u < v and max(classes[u]) == u and swappable(u, v)
+                classes[u].add(v)
+                classes[v] = classes[u]
+            assert all(swappable(u, v) == (v in classes[u]) for u in range(n) for v in range(u))
+
+
+def test_canonical_form_generators_generate_the_automorphism_group():
+    # |Aut| from networkx's matcher, an independent oracle, on every class up
+    # to 6 nodes in its canonical labeling and in a shuffled one
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    rng = random.Random(61)
+    for n, layer in enumerate(_graph_classes(6, node_budget=6)):
+        for cls in layer:
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            canonical = _neighbour_masks(cls.graph)
+            for adj in (canonical, [_compress(canonical[v], shuffled) for v in shuffled]):
+                h = nx.Graph()
+                h.add_nodes_from(range(n))
+                h.add_edges_from((i, j) for i in range(n) for j in range(i) if adj[i] >> j & 1)
+                automorphisms = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+                _, count, _, generators = _canonical_form(adj)
+                assert count == automorphisms
+                for g in generators:
+                    assert sorted(g) == list(range(n))
+                    assert [_compress(adj[v], g) for v in g] == adj, (adj, g)
+                # the twin transpositions, then at most n - 1 leaf generators
+                twins = len(_twins(adj))
+                assert all(sum(v != g[v] for v in range(n)) == 2 for g in generators[:twins])
+                assert len(generators) - twins <= max(n - 1, 0)
+                assert _closure_size(generators, n) == automorphisms, (adj, generators)
+
+
+def test_canonical_form_of_a_large_edgeless_graph():
+    # the positions are filled on an explicit stack: 1100 of them is far
+    # beyond the recursion limit
+    n = 1100
+    code, count, order, generators = _canonical_form([0] * n)
+    assert (code, count, order) == (0, math.factorial(n), list(range(n)))
+    # the consecutive twin transpositions, and no leaf ever ties
+    assert len(generators) == n - 1
+    assert all(g[v] == v + 1 and g[v + 1] == v for v, g in enumerate(generators))
+
+
+def _grow_every_subset(n):
+    """The class tower grown from every subset of every parent, no orbits."""
+    layers = [{0: ([], 1, set())}]
+    for m in range(1, n + 1):
+        grown = {}
+        for parent, (adj, _, _) in layers[-1].items():
+            for joined in range(1 << (m - 1)):
+                masks = [a | (joined >> i & 1) << (m - 1) for i, a in enumerate(adj)]
+                masks.append(joined)
+                code, automorphisms, order, _ = _canonical_form(masks)
+                canonical = [_compress(masks[v], order) for v in order]
+                grown.setdefault(code, (canonical, automorphisms, set()))[2].add(parent)
+        layers.append(grown)
+    return [
+        [(code, math.factorial(m) // layer[code][1], frozenset(layer[code][2])) for code in sorted(layer)]
+        for m, layer in enumerate(layers)
+    ]
+
+
+def test_graph_classes_grow_one_subset_per_orbit_like_every_subset():
+    plain = _grow_every_subset(7)
+    for m, layer in enumerate(_graph_classes(7, node_budget=7)):
+        assert [(cls.code, cls.labeled, cls.parents) for cls in layer] == plain[m]
+
+
+def test_graph_classes_canonical_form_calls_are_pinned(monkeypatch):
+    # machine-independent: one canonical form per orbit of joined subsets,
+    # against 219 and 11,291 for every subset of every parent
+    calls = []
+    real = graphs._canonical_form
+
+    def counted(adj):
+        calls.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(graphs, "_canonical_form", counted)
+    for n, expected in ((5, 119), (7, 5759)):
+        calls.clear()
+        list(_graph_classes(n, node_budget=n))
+        assert len(calls) == expected
 
 
 def test_bell_numbers():
