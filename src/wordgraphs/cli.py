@@ -38,6 +38,7 @@ from .graphs import (
     to_json_text,
     _GraphClass,
     _graph_classes,
+    _int_nodes,
 )
 from .locality import (
     LETTER_BUDGET_DEFAULT,
@@ -54,6 +55,7 @@ from .representability import (
     decide_membership,
     represent_clique_partition,
     uniformize,
+    _settle,
 )
 from .words import graph_of_word
 
@@ -404,29 +406,46 @@ def _speed_layers(
     decided size m, smallest first; the last list is always m = n.
 
     L_k and R_k are hereditary, so a class with a refuted parent (one of
-    its G - v) is a non-member and no search runs for it; every other
-    class goes to `decide_membership`. Refuted classes are kept by
-    (m, code): a bare code names a class only among graphs of one size.
-    A refuted parent settles its children only when its "no" is
+    its G - v) is a non-member and no search runs for it. Refuted classes
+    are kept by (m, code): a bare code names a class only among graphs of
+    one size. A refuted parent settles its children only when its "no" is
     conclusive, so the smaller sizes are swept only when the complete
     bound maxc * n, and with it every smaller one, fits within max_len;
-    otherwise the store stays empty and size n is decided class by class.
+    otherwise the store stays empty and size n is decided class by class
+    through `decide_membership`.
+
+    In the uncapped sweep every other class goes straight to the length
+    loop of `decide_membership` (`representability._settle`), on the
+    tower's canonical masks and automorphism generators, with its letters
+    in position order ("1".."m"). The store answers its G - v question:
+    the parents are exactly the classes of its G - v, all decided at size
+    m - 1, so no G - v needs a search of its own, and a class reaches the
+    search only when none of them was refuted.
     """
     maxc = k if class_kind == "R" else k + 1
+    local_k = None if class_kind == "R" else k
     capped = max_len is not None and maxc * n > max_len
     refuted: set[tuple[int, int]] = set()
     for m, layer in enumerate(_graph_classes(n, node_budget=node_budget)):
+        if not m:
+            # as decide_membership would, before any class is searched
+            _check_k(k)
         if m < n and capped:
             continue
         answers = []
         for cls in layer:
             if any((m - 1, p) in refuted for p in cls.parents):
                 member = False
-            else:
+            elif capped:
                 query = MembershipQuery(
                     graph=cls.graph, class_kind=class_kind, k=k, node_budget=n, max_len=max_len
                 )
                 member, _ = decide_membership(query)
+            else:
+                member = _settle(
+                    _int_nodes(m), cls.masks, maxc, local_k, maxc * m, cls.generators,
+                    lambda: any((m - 1, p) in refuted for p in cls.parents),
+                ) is not None
             if not member:
                 refuted.add((m, cls.code))
             answers.append((cls, member))

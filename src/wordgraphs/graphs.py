@@ -280,6 +280,16 @@ def _compress(mask: int, sub: Sequence[int]) -> int:
     return sum(1 << j for j, i in enumerate(sub) if mask >> i & 1)
 
 
+def _indices(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, ascending."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
+
+
 def _twins(adj: list[int]) -> list[tuple[int, int]]:
     """Transpositions (u, v) of consecutive twins, in ascending order of v.
 
@@ -316,9 +326,11 @@ def _canonical_form(adj: list[int]) -> tuple[int, int, list[int], list[list[int]
     lists the vertex at each position of one of them.
 
     The positions are filled one at a time on an explicit stack, and a
-    prefix whose rows already exceed the best code's is cut. Of twins
-    (`_twins`), one stands for all that are still free, weighted by their
-    number: the transposition maps one subtree onto the other.
+    prefix whose rows already exceed the best code's is cut. Each frame
+    carries every vertex's row against the positions placed so far, so a
+    candidate's row is read, not summed. Of twins (`_twins`), one stands
+    for all that are still free, weighted by their number: the
+    transposition maps one subtree onto the other.
 
     `generators` generate the automorphism group, as permutations
     (generator[v] is the image of v): the twin transpositions, then at most
@@ -333,10 +345,15 @@ def _canonical_form(adj: list[int]) -> tuple[int, int, list[int], list[list[int]
     if not n:
         return 0, 1, [], []
     degree = [a.bit_count() for a in adj]
-    key = [
-        (degree[v], tuple(sorted(degree[u] for u in range(n) if adj[v] >> u & 1)))
-        for v in range(n)
-    ]
+    key = []
+    for a in adj:
+        near = []
+        while a:
+            low = a & -a
+            near.append(degree[low.bit_length() - 1])
+            a ^= low
+        near.sort()
+        key.append((len(near), tuple(near)))
     members: dict[tuple, int] = {}
     for v in range(n):
         members[key[v]] = members.get(key[v], 0) | 1 << v
@@ -347,13 +364,13 @@ def _canonical_form(adj: list[int]) -> tuple[int, int, list[int], list[list[int]
     for u, v in pairs:
         first[v] = first[u]
 
-    def children(p: int, free: int) -> Iterator[list[int]]:
-        """[v, number of free twins v stands for] at position p."""
+    def children(p: int, free: int) -> Iterator[Sequence[int]]:
+        """(v, number of free twins v stands for) at position p."""
+        candidates = _indices(cells[p] & free)
+        if not pairs:
+            return iter([(v, 1) for v in candidates])
         groups: dict[int, list[int]] = {}
-        candidates = cells[p] & free
-        while candidates:
-            v = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
+        for v in candidates:
             if first[v] in groups:
                 groups[first[v]][1] += 1
             else:
@@ -376,20 +393,27 @@ def _canonical_form(adj: list[int]) -> tuple[int, int, list[int], list[list[int]
 
     placed: list[int] = []
     full = (1 << n) - 1
-    frames = [(children(0, full), 0, full, 1)]
+    # rows[v]: bit i set when v is adjacent to placed[i]
+    frames = [(children(0, full), 0, full, 1, [0] * n)]
     while frames:
-        kids, code, free, weight = frames[-1]
+        kids, code, free, weight, rows = frames[-1]
         p = len(placed)
         shift = width - p * (p + 1) // 2
         for v, size in kids:
-            row = sum(1 << i for i, u in enumerate(placed) if adj[v] >> u & 1)
-            prefix = code << p | row
+            prefix = code << p | rows[v]
             if best >= 0 and prefix > best >> shift:
                 continue
             if p + 1 < n:
                 placed.append(v)
                 rest = free & ~(1 << v)
-                frames.append((children(p + 1, rest), prefix, rest, weight * size))
+                grown = rows.copy()
+                bit = 1 << p
+                near = adj[v] & rest
+                while near:
+                    low = near & -near
+                    grown[low.bit_length() - 1] |= bit
+                    near ^= low
+                frames.append((children(p + 1, rest), prefix, rest, weight * size, grown))
                 break
             if best < 0 or prefix < best:
                 best, count, best_order = prefix, weight * size, placed + [v]
@@ -591,6 +615,10 @@ class _GraphClass(NamedTuple):
     labeled: int
     # codes of the classes of its G - v, on m - 1 nodes
     parents: frozenset[int]
+    # neighbour masks, bit j of entry i set when nodes i + 1 and j + 1 are
+    # adjacent, and automorphism generators as permutations of range(m)
+    masks: list[int]
+    generators: list[list[int]]
 
 
 def _graph_classes(
@@ -610,7 +638,10 @@ def _graph_classes(
     they are exactly the classes of its G - v; `wg speed` counts a class as
     a non-member without a search when one of them was refuted, provided
     that the cap on word length admits conclusive answers at size n (see
-    `cli._speed_layers`). Each list is in ascending order of code.
+    `cli._speed_layers`). Each class keeps its canonical masks and
+    generators, so the word search that sweep runs on it needs neither a
+    second canonical form nor masks rebuilt from the `Graph`. Each list is
+    in ascending order of code.
     """
     nodes = _enumeration_nodes(n, node_budget)
     # code -> (canonical neighbour masks, |Aut|, parent codes, automorphism
@@ -635,10 +666,12 @@ def _graph_classes(
         relabelings = factorial(m)
         layer = []
         for code in sorted(classes):
-            adj, automorphisms, parents, _ = classes[code]
+            adj, automorphisms, parents, generators = classes[code]
             edges = [(nodes[i], nodes[j]) for i in range(m) for j in range(i) if adj[i] >> j & 1]
             graph = Graph(nodes[:m], edges)
-            layer.append(_GraphClass(code, graph, relabelings // automorphisms, frozenset(parents)))
+            layer.append(
+                _GraphClass(code, graph, relabelings // automorphisms, frozenset(parents), adj, generators)
+            )
         yield layer
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import BudgetExceededError
 from .graphs import (
@@ -159,6 +159,14 @@ def decide_membership(
     only when neither that length nor a G - v settled the graph, use the
     `graphs._canonical_form` generators.
 
+    The length loop is `_settle`, shared with `wg speed`. Here it runs on
+    the neighbour masks of the sorted nodes, and each G - v is settled by
+    the memoised recursion above. An uncapped `wg speed` sweep
+    (`cli._speed_layers`) hands it the class tower's canonical masks and
+    generators instead, and answers G - v from its store of refuted
+    classes: it searches a class only when every G - v, a class one size
+    smaller, was already decided a member.
+
     The search space is complete for both classes, so within budget the
     negative answer is sound; a graph over budget raises instead of
     guessing.
@@ -185,40 +193,18 @@ def decide_membership(
     refuted: dict[int, bool] = {}
 
     def settle(keep: int, longest: int) -> list[str] | None:
-        """The witness for the subgraph induced by the vertex bitmask
-        `keep`, or None if it has none; raises if `longest` leaves that
-        open."""
+        """`_settle` on the subgraph induced by the vertex bitmask `keep`."""
         if keep == everyone:
             sub, sub_letters, sub_adj = range(n), letters, adj
         else:
             sub = [i for i in range(n) if keep >> i & 1]
             sub_letters = [letters[i] for i in sub]
             sub_adj = [_compress(adj[i] & keep, sub) for i in sub]
-        m = len(sub)
-        nonedges = m * (m - 1) // 2 - sum(a.bit_count() for a in sub_adj) // 2
-        shortest = 2 * m - _clique_number(sub_adj)
-        lower, higher = _lex_leader_masks(m, _twins(sub_adj), [])
-        for length in range(shortest, longest + 1):
-            if length == shortest + 1:
-                lower, higher = _lex_leader_masks(m, [], _canonical_form(sub_adj)[3])
-            witness = _search_exact_length(
-                sub_letters, sub_adj, maxc, length, local_k, nonedges, lower, higher
-            )
-            if witness is not None:
-                return witness
-            # G - v pays only before a longer length, and only when its "no" is
-            # conclusive within max_len
-            if (
-                length == shortest < maxc * m
-                and maxc * (m - 1) <= max_len
-                and any(is_refuted(keep & ~(1 << i)) for i in sub)
-            ):
-                return None
-        if longest < maxc * m:
-            raise BudgetExceededError(
-                f"no word up to length {longest}, but only {maxc * m} is conclusive"
-            )
-        return None
+        # G - v pays only when its "no" is conclusive within max_len
+        return _settle(
+            sub_letters, sub_adj, maxc, local_k, longest, None,
+            lambda: maxc * (len(sub) - 1) <= max_len and any(is_refuted(keep & ~(1 << i)) for i in sub),
+        )
 
     def is_refuted(keep: int) -> bool:
         if keep not in refuted:
@@ -229,6 +215,48 @@ def decide_membership(
     if witness is None:
         return False, None
     return True, make_word(witness)
+
+
+def _settle(
+    letters: list[str],
+    adj: list[int],
+    maxc: int,
+    local_k: int | None,
+    longest: int,
+    symmetries: list[list[int]] | None,
+    subgraph_refuted: Callable[[], bool],
+) -> list[str] | None:
+    """The lexicographically least shortest word of at most `longest`
+    letters for the graph with neighbour masks `adj` (node i named
+    letters[i]), or None if it has none; raises if `longest` leaves that
+    open. See decide_membership for the cuts.
+
+    `symmetries` are automorphism generators, as permutations, for the
+    lengths beyond the shortest; None means the `_canonical_form`
+    generators of adj, computed only when such a length is reached.
+    `subgraph_refuted()` tells whether some G - v is a conclusive
+    non-member; it is asked only once the shortest length holds no word
+    and longer lengths remain.
+    """
+    m = len(adj)
+    nonedges = m * (m - 1) // 2 - sum(a.bit_count() for a in adj) // 2
+    shortest = 2 * m - _clique_number(adj)
+    lower, higher = _lex_leader_masks(m, _twins(adj), [])
+    for length in range(shortest, longest + 1):
+        if length == shortest + 1:
+            if symmetries is None:
+                symmetries = _canonical_form(adj)[3]
+            lower, higher = _lex_leader_masks(m, [], symmetries)
+        witness = _search_exact_length(letters, adj, maxc, length, local_k, nonedges, lower, higher)
+        if witness is not None:
+            return witness
+        if length == shortest < maxc * m and subgraph_refuted():
+            return None
+    if longest < maxc * m:
+        raise BudgetExceededError(
+            f"no word up to length {longest}, but only {maxc * m} is conclusive"
+        )
+    return None
 
 
 def _lex_leader_masks(

@@ -14,6 +14,8 @@ from wordgraphs import (
     represent_clique_partition,
     serialize,
 )
+import wordgraphs.graphs as graphs
+import wordgraphs.representability as representability
 from wordgraphs.cli import _speed_layers, main
 from wordgraphs.errors import BudgetExceededError
 from wordgraphs.graphs import (
@@ -556,6 +558,60 @@ def test_speed_layers_give_the_minimal_forbidden_subgraphs():
         local, bounded = sweeps["L", k][0], sweeps["R", k + 1][0]
         assert not any(local[key] for key in sweeps["R", k + 1][1])
         assert all(bounded[key] for key, member in local.items() if member)
+
+
+@pytest.mark.parametrize("kind, k, n", [("R", 1, 5), ("R", 2, 6), ("R", 3, 5), ("L", 1, 6), ("L", 2, 5)])
+def test_speed_layers_agree_with_decide_class_by_class(kind, k, n):
+    # the uncapped sweep searches on the tower's masks and generators and
+    # answers G - v from its store; the public search is the oracle
+    layers = list(_speed_layers(kind, k, n, node_budget=n, max_len=None))
+    assert len(layers) == n + 1
+    for m, layer in enumerate(layers):
+        for cls, member in layer:
+            assert len(cls.graph.nodes) == m
+            query = MembershipQuery(graph=cls.graph, class_kind=kind, k=k, node_budget=n)
+            assert decide_membership(query)[0] == member, (kind, k, cls.graph)
+
+
+@pytest.mark.parametrize(
+    "kind, k, count, searches, leaf_checks",
+    [("L", 1, 332, 41, 77), ("R", 2, 1024, 53, 0), ("L", 2, 1024, 53, 52)],
+)
+def test_speed_sweep_search_counts_are_pinned(monkeypatch, kind, k, count, searches, leaf_checks):
+    # machine-independent: one uncapped 5-node sweep, class tower included;
+    # the search reads the tower's masks, so it builds none from a Graph
+    calls = {"_search_exact_length": 0, "is_k_local": 0, "_canonical_form": 0, "_neighbour_masks": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in calls:
+        for module in (graphs, representability):
+            if hasattr(module, name):
+                counting(module, name)
+    *_, last = _speed_layers(kind, k, 5, node_budget=5, max_len=None)
+    assert sum(cls.labeled for cls, member in last if member) == count
+    assert calls == {
+        "_search_exact_length": searches,
+        "is_k_local": leaf_checks,
+        "_canonical_form": 119,
+        "_neighbour_masks": 0,
+    }
+
+
+@pytest.mark.parametrize("kind", ["R", "L"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_speed_rejects_k_below_one(capsys, kind, k):
+    # a cap of 2 at n = 3 is below the complete bound only for L with k = 0
+    for extra in ((), ("--json",), ("--budget-len", "2"), ("--budget-len", "2", "--json")):
+        code, out, err = run(capsys, "speed", "--class", kind, "--k", k, "--n", "3", *extra)
+        assert (code, out, err) == (2, "", f"error: need k >= 1, got {k}\n"), extra
 
 
 def test_speed_six_nodes_need_a_budget(capsys):
