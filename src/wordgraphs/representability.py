@@ -219,11 +219,11 @@ def decide_membership(
 
 def _settle(
     letters: list[str],
-    adj: list[int],
+    adj: Sequence[int],
     maxc: int,
     local_k: int | None,
     longest: int,
-    symmetries: list[list[int]] | None,
+    symmetries: Sequence[Sequence[int]] | None,
     subgraph_refuted: Callable[[], bool],
 ) -> list[str] | None:
     """The lexicographically least shortest word of at most `longest`
@@ -260,7 +260,7 @@ def _settle(
 
 
 def _lex_leader_masks(
-    n: int, transpositions: list[tuple[int, int]], permutations: list[list[int]]
+    n: int, transpositions: list[tuple[int, int]], permutations: Sequence[Sequence[int]]
 ) -> tuple[list[int], list[int]]:
     """(lower, higher): bit j of lower[c] (higher[c]) is set when the j-th
     symmetry maps letter c to a smaller (larger) one. The symmetries are
@@ -281,7 +281,7 @@ def _lex_leader_masks(
     return lower, higher
 
 
-def _clique_number(adj: list[int]) -> int:
+def _clique_number(adj: Sequence[int]) -> int:
     """Size of a largest clique; adj[i] is the neighbour bitmask of node i."""
     best = 0
     # the candidates left to each member of the clique being grown, on an
@@ -302,7 +302,7 @@ def _clique_number(adj: list[int]) -> int:
 
 def _search_exact_length(
     letters: list[str],
-    adj: list[int],
+    adj: Sequence[int],
     maxc: int,
     length: int,
     local_k: int | None,

@@ -578,8 +578,10 @@ def test_speed_layers_agree_with_decide_class_by_class(kind, k, n):
     [("L", 1, 332, 41, 77), ("R", 2, 1024, 53, 0), ("L", 2, 1024, 53, 52)],
 )
 def test_speed_sweep_search_counts_are_pinned(monkeypatch, kind, k, count, searches, leaf_checks):
-    # machine-independent: one uncapped 5-node sweep, class tower included;
-    # the search reads the tower's masks, so it builds none from a Graph
+    # machine-independent: one uncapped 5-node sweep, class tower included
+    # and grown from a cold store; the search reads the tower's masks, so
+    # it builds none from a Graph
+    monkeypatch.setattr(graphs, "_CLASS_TOWER", graphs._CLASS_TOWER[:1])
     calls = {"_search_exact_length": 0, "is_k_local": 0, "_canonical_form": 0, "_neighbour_masks": 0}
 
     def counting(module, name):
@@ -595,14 +597,18 @@ def test_speed_sweep_search_counts_are_pinned(monkeypatch, kind, k, count, searc
         for module in (graphs, representability):
             if hasattr(module, name):
                 counting(module, name)
-    *_, last = _speed_layers(kind, k, 5, node_budget=5, max_len=None)
-    assert sum(cls.labeled for cls, member in last if member) == count
-    assert calls == {
-        "_search_exact_length": searches,
-        "is_k_local": leaf_checks,
-        "_canonical_form": 119,
-        "_neighbour_masks": 0,
-    }
+    for tower in (119, 0):
+        # the second sweep finds the tower stored and searches as much again
+        for name in calls:
+            calls[name] = 0
+        *_, last = _speed_layers(kind, k, 5, node_budget=5, max_len=None)
+        assert sum(cls.labeled for cls, member in last if member) == count
+        assert calls == {
+            "_search_exact_length": searches,
+            "is_k_local": leaf_checks,
+            "_canonical_form": tower,
+            "_neighbour_masks": 0,
+        }
 
 
 @pytest.mark.parametrize("kind", ["R", "L"])
@@ -614,9 +620,16 @@ def test_speed_rejects_k_below_one(capsys, kind, k):
         assert (code, out, err) == (2, "", f"error: need k >= 1, got {k}\n"), extra
 
 
-def test_speed_six_nodes_need_a_budget(capsys):
-    code, out, err = run(capsys, "speed", "--class", "L", "--k", "1", "--n", "6")
-    assert (code, out, err) == (3, "", "error: 6 nodes exceeds the enumeration budget 5\n")
+def test_speed_six_nodes_need_a_budget(capsys, monkeypatch):
+    # first on a cold class tower, then with 7 nodes stored, which the
+    # budget does not consult; monkeypatch puts the process's store back
+    monkeypatch.setattr(graphs, "_CLASS_TOWER", graphs._CLASS_TOWER[:1])
+    for _ in range(2):
+        code, out, err = run(capsys, "speed", "--class", "L", "--k", "1", "--n", "6")
+        assert (code, out, err) == (3, "", "error: 6 nodes exceeds the enumeration budget 5\n")
+        code, out, err = run(capsys, "speed", "--class", "L", "--k", "1", "--n", "-1")
+        assert (code, out, err) == (2, "", "error: need n >= 0, got -1\n")
+        list(_graph_classes(7, node_budget=7))
 
 
 @pytest.mark.parametrize(

@@ -280,12 +280,19 @@ def test_graph_classes_parents_are_the_classes_of_g_minus_v():
             assert cls.parents <= smaller
 
 
-def test_graph_classes_checks_like_the_labeled_enumeration():
-    for n, budget in ((-1, 5), (6, 5), (4, 3)):
-        with pytest.raises((ValueError, BudgetExceededError)) as labeled:
-            list(enumerate_labeled_graphs(n, node_budget=budget))
-        with pytest.raises(labeled.type, match=f"^{re.escape(str(labeled.value))}$"):
-            list(_graph_classes(n, node_budget=budget))
+def test_graph_classes_checks_like_the_labeled_enumeration(monkeypatch):
+    # at the first next(), before any layer is grown or a stored one yielded
+    monkeypatch.setattr(graphs, "_CLASS_TOWER", graphs._CLASS_TOWER[:1])
+    for stored in (1, 8):
+        for n, budget in ((-1, 5), (6, 5), (4, 3)):
+            with pytest.raises((ValueError, BudgetExceededError)) as labeled:
+                list(enumerate_labeled_graphs(n, node_budget=budget))
+            with pytest.raises(labeled.type, match=f"^{re.escape(str(labeled.value))}$"):
+                next(_graph_classes(n, node_budget=budget))
+        with pytest.raises(BudgetExceededError, match="^6 nodes exceeds the enumeration budget 5$"):
+            next(_graph_classes(6))
+        assert len(graphs._CLASS_TOWER) == stored
+        list(_graph_classes(7, node_budget=7))
 
 
 def _brute_force_code(g, n):
@@ -429,9 +436,64 @@ def test_graph_classes_canonical_form_calls_are_pinned(monkeypatch):
 
     monkeypatch.setattr(graphs, "_canonical_form", counted)
     for n, expected in ((5, 119), (7, 5759)):
+        # a cold store, grown from its 0-node seed
+        monkeypatch.setattr(graphs, "_CLASS_TOWER", graphs._CLASS_TOWER[:1])
         calls.clear()
         list(_graph_classes(n, node_budget=n))
         assert len(calls) == expected
+        # the tower is grown once per process: a warm store yields it as is
+        calls.clear()
+        list(_graph_classes(n, node_budget=n))
+        assert calls == []
+
+
+GRAPH_CLASS_FIELDS = ("code", "graph", "labeled", "parents", "masks", "generators")
+
+
+def test_graph_classes_grown_in_steps_equal_a_cold_build(monkeypatch):
+    monkeypatch.setattr(graphs, "_CLASS_TOWER", graphs._CLASS_TOWER[:1])
+    for n in (3, 5, 7):
+        list(_graph_classes(n, node_budget=n))
+    warm = list(_graph_classes(7, node_budget=7))
+    monkeypatch.setattr(graphs, "_CLASS_TOWER", graphs._CLASS_TOWER[:1])
+    cold = list(_graph_classes(7, node_budget=7))
+    assert graphs._GraphClass._fields == GRAPH_CLASS_FIELDS
+    assert len(warm) == len(cold) == 8
+    for m, (warm_layer, cold_layer) in enumerate(zip(warm, cold)):
+        assert len(warm_layer) == len(cold_layer) == CLASS_COUNTS[m]
+        for field in GRAPH_CLASS_FIELDS:
+            assert [getattr(c, field) for c in warm_layer] == [getattr(c, field) for c in cold_layer], field
+        # every sweep in the process reads the same layers, so none may change them
+        assert isinstance(warm_layer, tuple)
+        for cls in warm_layer:
+            assert isinstance(cls.masks, tuple)
+            assert isinstance(cls.generators, tuple) and all(isinstance(g, tuple) for g in cls.generators)
+
+
+def test_graph_classes_store_keeps_only_complete_layers(monkeypatch):
+    monkeypatch.setattr(graphs, "_CLASS_TOWER", graphs._CLASS_TOWER[:1])
+    # an abandoned call stores the layers it yielded and no more
+    layers = _graph_classes(5)
+    for _ in range(3):
+        next(layers)
+    layers.close()
+    assert len(graphs._CLASS_TOWER) == 3
+    # a call that fails while growing a layer stores none of it
+    real = graphs._canonical_form
+    calls = []
+
+    def failing(adj):
+        calls.append(len(adj))
+        if calls.count(5) == 20:
+            raise RuntimeError("stop")
+        return real(adj)
+
+    monkeypatch.setattr(graphs, "_canonical_form", failing)
+    with pytest.raises(RuntimeError, match="^stop$"):
+        list(_graph_classes(5))
+    assert len(graphs._CLASS_TOWER) == 5
+    monkeypatch.setattr(graphs, "_canonical_form", real)
+    assert [len(layer) for layer in _graph_classes(5)] == CLASS_COUNTS[:6]
 
 
 def test_bell_numbers():
