@@ -39,6 +39,7 @@ from .graphs import (
     _GraphClass,
     _graph_classes,
     _int_nodes,
+    _is_threshold,
 )
 from .locality import (
     LETTER_BUDGET_DEFAULT,
@@ -408,43 +409,43 @@ def _speed_layers(
     L_k and R_k are hereditary, so a class with a refuted parent (one of
     its G - v) is a non-member and no search runs for it. Refuted classes
     are kept by (m, code): a bare code names a class only among graphs of
-    one size. A refuted parent settles its children only when its "no" is
-    conclusive, so the smaller sizes are swept only when the complete
-    bound maxc * n, and with it every smaller one, fits within max_len;
-    otherwise the store stays empty and size n is decided class by class
-    through `decide_membership`.
-
-    In the uncapped sweep every other class goes straight to the length
-    loop of `decide_membership` (`representability._settle`), on the
-    tower's canonical masks and automorphism generators, with its letters
-    in position order ("1".."m"). The store answers its G - v question:
-    the parents are exactly the classes of its G - v, all decided at size
-    m - 1, so no G - v needs a search of its own, and a class reaches the
-    search only when none of them was refuted.
+    one size. Every other class goes to the length loop of
+    `decide_membership` (`representability._settle`), on the tower's
+    canonical masks and automorphism generators, with its letters in
+    position order ("1".."m"). Its parents are exactly the classes of its
+    G - v and none is a stored refutation, so the loop's G - v question
+    answers no. A refuted parent settles its children only when its "no"
+    is conclusive, so a size m < n is swept only when its complete bound
+    maxc * m fits within max_len.
     """
     maxc = k if class_kind == "R" else k + 1
     local_k = None if class_kind == "R" else k
-    capped = max_len is not None and maxc * n > max_len
     refuted: set[tuple[int, int]] = set()
     for m, layer in enumerate(_graph_classes(n, node_budget=node_budget)):
         if not m:
             # as decide_membership would, before any class is searched
             _check_k(k)
-        if m < n and capped:
+        complete = maxc * m
+        longest = complete if max_len is None else min(complete, max_len)
+        if m < n and longest < complete:
+            # A "no" here would not be conclusive. The sizes kept are the
+            # ones whose G - v "no" decide_membership trusts, so the store
+            # answers size n as a per-class loop of it would. The two could
+            # differ only on a class with a refuted parent whose shortest
+            # length 2n - omega exceeds the cap, where the per-class search
+            # raises and the store says no; that needs maxc * (n - 1) <=
+            # max_len < 2n - omega. For maxc >= 2 it forces omega <= 1, the
+            # edgeless graph, whose parent is a member. For maxc = 1, K_n
+            # (parent K_(n-1), a member) exceeds the cap too, so both raise,
+            # and the budget message names no class.
             continue
         answers = []
         for cls in layer:
             if any((m - 1, p) in refuted for p in cls.parents):
                 member = False
-            elif capped:
-                query = MembershipQuery(
-                    graph=cls.graph, class_kind=class_kind, k=k, node_budget=n, max_len=max_len
-                )
-                member, _ = decide_membership(query)
             else:
                 member = _settle(
-                    _int_nodes(m), cls.masks, maxc, local_k, maxc * m, cls.generators,
-                    lambda: any((m - 1, p) in refuted for p in cls.parents),
+                    _int_nodes(m), cls.masks, maxc, local_k, longest, cls.generators, lambda: False
                 ) is not None
             if not member:
                 refuted.add((m, cls.code))
@@ -458,10 +459,10 @@ def _cmd_speed(args) -> int:
     Membership is invariant under isomorphism, so one graph per class is
     decided and counted with the number of labeled graphs in its class.
     The sizes 0..n are swept smallest first (`_speed_layers`): a class
-    one of whose G - v was refuted is a non-member without a search. The
-    store of refuted classes is used only when the complete bound of size
-    n fits within --budget-len; a smaller cap decides the n-node classes
-    one by one, so it exits, prints and raises as a per-class loop does.
+    one of whose G - v was refuted is a non-member without a search. A
+    --budget-len below a size's complete bound skips that size, so the
+    store holds only conclusive answers and the n-node classes exit,
+    print and raise as a per-class loop does.
     """
     node_budget = _resolve(args.budget_nodes, "WG_BUDGET_NODES", ENUMERATION_BUDGET_DEFAULT)
     max_len = _resolve(args.budget_len, "WG_BUDGET_LEN", 0) or None
@@ -476,7 +477,7 @@ def _cmd_speed(args) -> int:
         total += cls.labeled
         if member:
             count += cls.labeled
-        if crosscheck and is_threshold(cls.graph):
+        if crosscheck and _is_threshold(cls.masks):
             threshold_count += cls.labeled
     pairs = args.n * (args.n - 1) // 2
     if total != 1 << pairs:

@@ -470,7 +470,11 @@ def is_threshold(g: Graph) -> bool:
     graph with an isolated or universal node v is threshold exactly when
     G - v is, so the order of the deletions does not matter.
     """
-    adj = _neighbour_masks(g)
+    return _is_threshold(_neighbour_masks(g))
+
+
+def _is_threshold(adj: Sequence[int]) -> bool:
+    """`is_threshold` on the graph with neighbour masks `adj`."""
     live = (1 << len(adj)) - 1
     while live:
         before = live
@@ -610,7 +614,6 @@ class _GraphClass(NamedTuple):
     """One isomorphism class on nodes "1".."m", in its canonical labeling."""
 
     code: int
-    graph: Graph
     # labeled graphs in the class, m!/|Aut|
     labeled: int
     # codes of the classes of its G - v, on m - 1 nodes
@@ -624,7 +627,7 @@ class _GraphClass(NamedTuple):
 
 # The class tower: entry m holds the classes on m nodes. It depends on
 # nothing but m, so `_graph_classes` grows it on demand, once per process.
-_CLASS_TOWER: list[tuple[_GraphClass, ...]] = [(_GraphClass(0, Graph(), 1, frozenset(), (), ()),)]
+_CLASS_TOWER: list[tuple[_GraphClass, ...]] = [(_GraphClass(0, 1, frozenset(), (), ()),)]
 
 
 def _graph_classes(
@@ -642,12 +645,10 @@ def _graph_classes(
     A class's parents are the classes it is grown from: deleting the new
     vertex gives back the parent, and every G - v grows back into G, so
     they are exactly the classes of its G - v; `wg speed` counts a class as
-    a non-member without a search when one of them was refuted, provided
-    that the cap on word length admits conclusive answers at size n (see
-    `cli._speed_layers`). Each class keeps its canonical masks and
-    generators, so the word search that sweep runs on it needs neither a
-    second canonical form nor masks rebuilt from the `Graph`. Each tuple is
-    in ascending order of code.
+    a non-member without a search when one of them was conclusively
+    refuted (see `cli._speed_layers`). Each class keeps its canonical masks
+    and generators, which are all the word search that sweep runs on it
+    reads, and no `Graph`. Each tuple is in ascending order of code.
 
     The layers live in one store, `_CLASS_TOWER`, shared by every call in
     the process: a call yields the stored layers and grows only those
@@ -658,8 +659,8 @@ def _graph_classes(
     are stored. Only a process that sweeps more than once gains: a single
     `wg speed` starts from the 0-node seed and grows every layer, as
     before. The store keeps every size it has reached until the process
-    exits and is never trimmed (tracemalloc: 0.1 MB up to 5 nodes, 3.4 MB
-    up to 7, 44 MB up to 8).
+    exits and is never trimmed (tracemalloc: 0.04 MB up to 5 nodes, 1.0 MB
+    up to 7, 12 MB up to 8).
     """
     _enumeration_nodes(n, node_budget)
     for m in range(n + 1):
@@ -670,7 +671,6 @@ def _graph_classes(
 
 def _grow(parents: tuple[_GraphClass, ...], m: int) -> tuple[_GraphClass, ...]:
     """The classes on m nodes, from `parents`, all the classes on m - 1."""
-    nodes = _int_nodes(m)
     new = m - 1
     # code -> (canonical neighbour masks, |Aut|, parent codes, automorphism
     # generators in the canonical labeling)
@@ -690,9 +690,7 @@ def _grow(parents: tuple[_GraphClass, ...], m: int) -> tuple[_GraphClass, ...]:
     layer = []
     for code in sorted(grown):
         adj, automorphisms, codes, generators = grown[code]
-        edges = [(nodes[i], nodes[j]) for i in range(m) for j in range(i) if adj[i] >> j & 1]
-        labeled = relabelings // automorphisms
-        layer.append(_GraphClass(code, Graph(nodes, edges), labeled, frozenset(codes), adj, generators))
+        layer.append(_GraphClass(code, relabelings // automorphisms, frozenset(codes), adj, generators))
     return tuple(layer)
 
 

@@ -161,11 +161,12 @@ def decide_membership(
 
     The length loop is `_settle`, shared with `wg speed`. Here it runs on
     the neighbour masks of the sorted nodes, and each G - v is settled by
-    the memoised recursion above. An uncapped `wg speed` sweep
-    (`cli._speed_layers`) hands it the class tower's canonical masks and
-    generators instead, and answers G - v from its store of refuted
-    classes: it searches a class only when every G - v, a class one size
-    smaller, was already decided a member.
+    the memoised recursion above. A `wg speed` sweep (`cli._speed_layers`)
+    hands it the class tower's canonical masks and generators instead, and
+    answers G - v from its store of refuted classes: it searches a class
+    only when every G - v, a class one size smaller, was already decided a
+    member. Under a word-length cap it keeps the same rule as here, and
+    stores only the sizes whose complete bound fits within the cap.
 
     The search space is complete for both classes, so within budget the
     negative answer is sound; a graph over budget raises instead of

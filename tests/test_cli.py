@@ -31,6 +31,8 @@ from wordgraphs.graphs import (
 )
 from wordgraphs.representability import MembershipQuery, decide_membership
 
+from test_graphs import class_graph
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -476,44 +478,48 @@ def test_speed_budget_len_matches_the_labeled_loop(capsys, kind, k):
             assert out.startswith(f"count: {count} of 64 graphs")
 
 
-def _per_class_speed(kind, k, n, max_len, as_json):
-    """(code, stdout, stderr) of `wg speed` as a plain loop that decides
-    every n-node class by itself, with no store of refuted classes."""
-    *_, layer = _graph_classes(n)
+def _per_class_speed(kind, k, n, max_len):
+    """(code, stdout, stderr) of `wg speed` without and with --json, as a
+    plain loop that decides every n-node class by itself, with no store of
+    refuted classes."""
+    *_, layer = _graph_classes(n, node_budget=n)
     count = threshold_count = 0
     for cls in layer:
-        query = MembershipQuery(graph=cls.graph, class_kind=kind, k=k, node_budget=n, max_len=max_len)
+        g = class_graph(cls)
+        query = MembershipQuery(graph=g, class_kind=kind, k=k, node_budget=n, max_len=max_len)
         try:
             member, _ = decide_membership(query)
         except BudgetExceededError as exc:
-            return 3, "", f"error: {exc}\n"
+            return [(3, "", f"error: {exc}\n")] * 2
         count += member * cls.labeled
-        threshold_count += is_threshold(cls.graph) * cls.labeled
+        threshold_count += is_threshold(g) * cls.labeled
     total = 2 ** (n * (n - 1) // 2)
     crosscheck = (kind, k) == ("L", 1)
-    if as_json:
-        payload = {"bell": bell_number(n), "class": kind, "count": count, "k": k, "n": n, "total": total}
-        if crosscheck:
-            payload["threshold_count"] = threshold_count
-        return 0, json.dumps(payload, sort_keys=True) + "\n", ""
+    payload = {"bell": bell_number(n), "class": kind, "count": count, "k": k, "n": n, "total": total}
     lines = [f"count: {count} of {total} graphs (class {kind}, k={k}, n={n})"]
     if crosscheck:
+        payload["threshold_count"] = threshold_count
         lines.append(f"threshold cross-check: {threshold_count} (agree)")
     lines.append(f"bell B_{n}: {bell_number(n)}")
-    return 0, "\n".join(lines) + "\n", ""
+    return [(0, "\n".join(lines) + "\n", ""), (0, json.dumps(payload, sort_keys=True) + "\n", "")]
 
 
 @pytest.mark.parametrize("kind, k", SPEED_CLASSES)
 def test_speed_budget_len_matches_the_per_class_loop_at_five_nodes(capsys, kind, k):
     # L,1 has no 3-node non-member, so only at n = 5 does a 4-node "no"
-    # settle classes and a wrong cap guard show
-    complete = 5 * (k if kind == "R" else k + 1)
-    for cap in range(complete + 2):
+    # settle classes and a wrong cap guard show. Every cap at n = 5; at
+    # n = 6 the caps maxc * 5 <= cap < maxc * 6, where the 5-node store
+    # first settles 6-node classes under a cap
+    maxc = k if kind == "R" else k + 1
+    sweeps = [(5, cap) for cap in range(maxc * 5 + 2)] + [(6, cap) for cap in range(maxc * 5, maxc * 6)]
+    for n, cap in sweeps:
+        expected = _per_class_speed(kind, k, n, cap or None)
         for flags in ((), ("--json",)):
             got = run(
-                capsys, "speed", "--class", kind, "--k", str(k), "--n", "5", "--budget-len", str(cap), *flags
+                capsys, "speed", "--class", kind, "--k", str(k), "--n", str(n),
+                "--budget-nodes", str(n), "--budget-len", str(cap), *flags,
             )
-            assert got == _per_class_speed(kind, k, 5, cap or None, bool(flags)), (cap, flags)
+            assert got == expected[bool(flags)], (n, cap, flags)
 
 
 def _class_key(g):
@@ -528,7 +534,7 @@ def _sweep_answers(kind, k, n):
     minimal = {}
     for layer in _speed_layers(kind, k, n, node_budget=n, max_len=None):
         for cls, member in layer:
-            m = len(cls.graph.nodes)
+            m = len(cls.masks)
             answers[m, cls.code] = member
             if not member and all(answers[m - 1, p] for p in cls.parents):
                 minimal[m, cls.code] = cls.labeled
@@ -568,9 +574,10 @@ def test_speed_layers_agree_with_decide_class_by_class(kind, k, n):
     assert len(layers) == n + 1
     for m, layer in enumerate(layers):
         for cls, member in layer:
-            assert len(cls.graph.nodes) == m
-            query = MembershipQuery(graph=cls.graph, class_kind=kind, k=k, node_budget=n)
-            assert decide_membership(query)[0] == member, (kind, k, cls.graph)
+            g = class_graph(cls)
+            assert len(g.nodes) == m
+            query = MembershipQuery(graph=g, class_kind=kind, k=k, node_budget=n)
+            assert decide_membership(query)[0] == member, (kind, k, g)
 
 
 @pytest.mark.parametrize(
