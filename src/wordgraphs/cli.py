@@ -56,7 +56,7 @@ from .representability import (
     decide_membership,
     represent_clique_partition,
     uniformize,
-    _settle,
+    _any_word,
 )
 from .words import graph_of_word
 
@@ -409,14 +409,16 @@ def _speed_layers(
     L_k and R_k are hereditary, so a class with a refuted parent (one of
     its G - v) is a non-member and no search runs for it. Refuted classes
     are kept by (m, code): a bare code names a class only among graphs of
-    one size. Every other class goes to the length loop of
-    `decide_membership` (`representability._settle`), on the tower's
-    canonical masks and automorphism generators, with its letters in
-    position order ("1".."m"). Its parents are exactly the classes of its
-    G - v and none is a stored refutation, so the loop's G - v question
-    answers no. A refuted parent settles its children only when its "no"
-    is conclusive, so a size m < n is swept only when its complete bound
-    maxc * m fits within max_len.
+    one size. Every other class, whose G - v are all members, is searched
+    for any word of at most `longest` letters (`representability._any_word`),
+    on the tower's canonical masks and automorphism generators, with its
+    letters in position order ("1".."m"). A count needs no least word, so
+    class R searches all lengths from 2m - omega in one window, and class
+    L the shortest length and then one window over the rest; neither runs
+    `decide_membership`'s loop of one length at a time. A refuted parent
+    settles its children only when its "no" is conclusive, so a size
+    m < n is swept only when its complete bound maxc * m fits within
+    max_len.
     """
     maxc = k if class_kind == "R" else k + 1
     local_k = None if class_kind == "R" else k
@@ -444,9 +446,7 @@ def _speed_layers(
             if any((m - 1, p) in refuted for p in cls.parents):
                 member = False
             else:
-                member = _settle(
-                    _int_nodes(m), cls.masks, maxc, local_k, longest, cls.generators, lambda: False
-                ) is not None
+                member = _any_word(_int_nodes(m), cls.masks, maxc, local_k, longest, cls.generators) is not None
             if not member:
                 refuted.add((m, cls.code))
             answers.append((cls, member))

@@ -159,14 +159,19 @@ def decide_membership(
     only when neither that length nor a G - v settled the graph, use the
     `graphs._canonical_form` generators.
 
-    The length loop is `_settle`, shared with `wg speed`. Here it runs on
-    the neighbour masks of the sorted nodes, and each G - v is settled by
-    the memoised recursion above. A `wg speed` sweep (`cli._speed_layers`)
-    hands it the class tower's canonical masks and generators instead, and
-    answers G - v from its store of refuted classes: it searches a class
-    only when every G - v, a class one size smaller, was already decided a
-    member. Under a word-length cap it keeps the same rule as here, and
-    stores only the sizes whose complete bound fits within the cap.
+    The length loop is `_settle`, on the neighbour masks of the sorted
+    nodes, and each G - v is settled by the memoised recursion above. It
+    shares one word search, `_search_exact_length`, with `wg speed`. That
+    search accepts any length in a window [lo, hi]; here every call has
+    lo = hi, one length at a time in ascending order. A `wg speed` sweep
+    (`cli._speed_layers`) keeps no witness, so it searches a class through
+    `_any_word` instead: on the class tower's canonical masks and
+    generators, and over a window of lengths rather than one length at a
+    time. It answers G - v from its store of refuted classes: it searches
+    a class only when every G - v, a class one size smaller, was already
+    decided a member. Under a word-length cap it keeps the same rule as
+    here, and stores only the sizes whose complete bound fits within the
+    cap.
 
     The search space is complete for both classes, so within budget the
     negative answer is sound; a graph over budget raises instead of
@@ -203,7 +208,7 @@ def decide_membership(
             sub_adj = [_compress(adj[i] & keep, sub) for i in sub]
         # G - v pays only when its "no" is conclusive within max_len
         return _settle(
-            sub_letters, sub_adj, maxc, local_k, longest, None,
+            sub_letters, sub_adj, maxc, local_k, longest,
             lambda: maxc * (len(sub) - 1) <= max_len and any(is_refuted(keep & ~(1 << i)) for i in sub),
         )
 
@@ -224,7 +229,6 @@ def _settle(
     maxc: int,
     local_k: int | None,
     longest: int,
-    symmetries: Sequence[Sequence[int]] | None,
     subgraph_refuted: Callable[[], bool],
 ) -> list[str] | None:
     """The lexicographically least shortest word of at most `longest`
@@ -232,32 +236,72 @@ def _settle(
     letters[i]), or None if it has none; raises if `longest` leaves that
     open. See decide_membership for the cuts.
 
-    `symmetries` are automorphism generators, as permutations, for the
-    lengths beyond the shortest; None means the `_canonical_form`
-    generators of adj, computed only when such a length is reached.
     `subgraph_refuted()` tells whether some G - v is a conclusive
     non-member; it is asked only once the shortest length holds no word
     and longer lengths remain.
     """
     m = len(adj)
-    nonedges = m * (m - 1) // 2 - sum(a.bit_count() for a in adj) // 2
+    nonedges = _nonedge_count(adj)
     shortest = 2 * m - _clique_number(adj)
     lower, higher = _lex_leader_masks(m, _twins(adj), [])
     for length in range(shortest, longest + 1):
         if length == shortest + 1:
-            if symmetries is None:
-                symmetries = _canonical_form(adj)[3]
-            lower, higher = _lex_leader_masks(m, [], symmetries)
-        witness = _search_exact_length(letters, adj, maxc, length, local_k, nonedges, lower, higher)
+            lower, higher = _lex_leader_masks(m, [], _canonical_form(adj)[3])
+        witness = _search_exact_length(letters, adj, maxc, length, length, local_k, nonedges, lower, higher)
         if witness is not None:
             return witness
         if length == shortest < maxc * m and subgraph_refuted():
             return None
-    if longest < maxc * m:
-        raise BudgetExceededError(
-            f"no word up to length {longest}, but only {maxc * m} is conclusive"
-        )
+    _check_conclusive(longest, maxc * m)
     return None
+
+
+def _any_word(
+    letters: list[str],
+    adj: Sequence[int],
+    maxc: int,
+    local_k: int | None,
+    longest: int,
+    symmetries: Sequence[Sequence[int]],
+) -> list[str] | None:
+    """Some word of at most `longest` letters for the graph with neighbour
+    masks `adj`, or None if it has none; raises if `longest` leaves that
+    open. `symmetries` are automorphism generators, as permutations.
+
+    Unlike `_settle` this need not be the least shortest word, so the
+    lengths need not be refuted one at a time. Class "R" searches all of
+    them in one window, from 2m - omega on, which visits each prefix once.
+    Class "L" searches the shortest length alone first, where a k-local
+    word is usually found at once, and then one window over the longer
+    ones: one window from the shortest length on completes many more
+    prefixes that fail `is_k_local` (183 leaf checks against 52 in the
+    L,2 sweep to 5 nodes). The lex-leader cut holds in any window, since
+    the words of lengths lo..hi are closed under automorphisms.
+    """
+    m = len(adj)
+    nonedges = _nonedge_count(adj)
+    shortest = 2 * m - _clique_number(adj)
+    lower, higher = _lex_leader_masks(m, [], symmetries)
+    windows = [(shortest, longest)] if local_k is None else [(shortest, shortest), (shortest + 1, longest)]
+    for lo, hi in windows:
+        if lo <= hi <= longest:
+            word = _search_exact_length(letters, adj, maxc, lo, hi, local_k, nonedges, lower, higher)
+            if word is not None:
+                return word
+    _check_conclusive(longest, maxc * m)
+    return None
+
+
+def _nonedge_count(adj: Sequence[int]) -> int:
+    m = len(adj)
+    return m * (m - 1) // 2 - sum(a.bit_count() for a in adj) // 2
+
+
+def _check_conclusive(longest: int, complete: int) -> None:
+    """Raise when a search up to `longest` letters found no word, but only
+    `complete` letters would make that a "no"."""
+    if longest < complete:
+        raise BudgetExceededError(f"no word up to length {longest}, but only {complete} is conclusive")
 
 
 def _lex_leader_masks(
@@ -305,14 +349,21 @@ def _search_exact_length(
     letters: list[str],
     adj: Sequence[int],
     maxc: int,
-    length: int,
+    lo: int,
+    hi: int,
     local_k: int | None,
     undoubled_nonedges: int,
     lower: list[int],
     higher: list[int],
 ) -> list[str] | None:
-    """Depth-first lexicographic search for one representing word of the
-    exact target length; see decide_membership for the pruning rules.
+    """Depth-first lexicographic search for one representing word whose
+    length lies in the window [lo, hi]; see decide_membership for the
+    pruning rules. With lo = hi it finds the least word of that length.
+
+    A prefix of at least lo letters that places every letter and doubles
+    every non-edge pair is a word for the graph: it is returned if it is
+    k-local (class "L"), and never extended if not, since a factor of a
+    word is never more local than the word.
 
     Letter sets are bitmasks over letter indices. The {c, d} projection
     ends in c exactly when c has occurred and d has not occurred since, so
@@ -325,9 +376,10 @@ def _search_exact_length(
     its letter and the state before it, so a word may be longer than the
     recursion limit; the last letter is checked in place.
     """
-    if not length:
-        return [] if not undoubled_nonedges else None
     n = len(letters)
+    if not hi or not n:
+        # the empty word, which represents only the graph with no nodes
+        return [] if not n and lo <= 0 else None
     full = (1 << n) - 1
     used = [0] * n
     frames: list[tuple[int, int, int, list[int], list[int], int, int]] = []
@@ -335,7 +387,8 @@ def _search_exact_length(
     since, doubled = [full] * n, [0] * n
     start = 0  # the first letter to try at the current position
     while True:
-        slots = length - len(frames) - 1
+        slots = hi - len(frames) - 1
+        accepting = len(frames) + 1 >= lo
         for c in range(start, n):
             count = used[c]
             if count == maxc:
@@ -353,12 +406,13 @@ def _search_exact_length(
             # a spent c can no longer double its pair with a scarce non-neighbour
             if not left and ~adj[c] & ~(doubled[c] | fresh) & scarce & ~bit:
                 continue
+            if accepting and not new_zeros and pending == fresh.bit_count():
+                # c completes a word; the node budget already admitted its letters
+                word = [letters[f[0]] for f in frames] + [letters[c]]
+                if local_k is None or is_k_local(word, local_k, letter_budget=n):
+                    return word
+                continue
             if not slots:
-                # c ends the word; the node budget already admitted its letters
-                if pending == fresh.bit_count():
-                    word = [letters[f[0]] for f in frames] + [letters[c]]
-                    if local_k is None or is_k_local(word, local_k, letter_budget=n):
-                        return word
                 continue
             new_doubled = doubled
             if fresh:

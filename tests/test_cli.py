@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from wordgraphs import (
     represent_clique_partition,
     serialize,
 )
+import wordgraphs.cli as cli
 import wordgraphs.graphs as graphs
 import wordgraphs.representability as representability
 from wordgraphs.cli import _speed_layers, main
@@ -29,7 +31,9 @@ from wordgraphs.graphs import (
     fixture,
     is_threshold,
 )
+from wordgraphs.locality import is_k_local
 from wordgraphs.representability import MembershipQuery, decide_membership
+from wordgraphs.words import graph_of_word
 
 from test_graphs import class_graph
 
@@ -581,8 +585,98 @@ def test_speed_layers_agree_with_decide_class_by_class(kind, k, n):
 
 
 @pytest.mark.parametrize(
+    "kind, k, n",
+    [(kind, k, 5) for kind, k in SPEED_CLASSES + [("R", 3), ("L", 3)]] + [("L", 2, 6), ("R", 3, 6)],
+)
+def test_speed_sweep_words_certify_every_member(monkeypatch, kind, k, n):
+    # the sweep keeps no witness, but every "yes" comes from a word its
+    # search accepted: that word must represent the class within the copy
+    # bound, and for class L be k-local
+    maxc = k if kind == "R" else k + 1
+    real = cli._any_word
+    words = {}  # the word found for each searched class, by its masks
+
+    def recording(letters, adj, *args):
+        words[adj] = real(letters, adj, *args)
+        return words[adj]
+
+    monkeypatch.setattr(cli, "_any_word", recording)
+    for layer in _speed_layers(kind, k, n, node_budget=n, max_len=None):
+        for cls, member in layer:
+            if not member:
+                assert words.get(cls.masks) is None
+                continue
+            word = words[cls.masks]
+            assert graph_of_word(word) == class_graph(cls), (kind, k, word)
+            assert max(Counter(word).values(), default=0) <= maxc
+            if kind == "L":
+                assert is_k_local(word, k)
+
+
+def _chord_diagrams(n):
+    """The (2n - 1)!! double-occurrence words on n letters, as the position
+    pairs of each letter's two copies, letters in order of first occurrence."""
+    def matchings(free):
+        if not free:
+            yield ()
+            return
+        first, rest = free[0], free[1:]
+        for i, second in enumerate(rest):
+            for chords in matchings(rest[:i] + rest[i + 1:]):
+                yield ((first, second),) + chords
+
+    return matchings(tuple(range(2 * n)))
+
+
+def _chord_graphs(n):
+    """The distinct neighbour masks of the alternation graphs of the
+    double-occurrence words on n letters: chords cross exactly when their
+    letters alternate."""
+    graphs_seen = set()
+    for chords in _chord_diagrams(n):
+        masks = [0] * n
+        for i, (a1, a2) in enumerate(chords):
+            for j, (b1, b2) in enumerate(chords[:i]):
+                # b opens before a, so they cross when b closes inside a
+                if a1 < b2 < a2:
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+        graphs_seen.add(tuple(masks))
+    return graphs_seen
+
+
+def _relabeled_count(mask_sets, n):
+    """Labeled graphs on n nodes reached by relabeling the given masks,
+    counted by their edge sets, with no canonical form."""
+    labeled = set()
+    for masks in mask_sets:
+        edges = [(i, j) for i in range(n) for j in range(i) if masks[i] >> j & 1]
+        for perm in itertools.permutations(range(n)):
+            labeled.add(frozenset(frozenset((perm[i], perm[j])) for i, j in edges))
+    return len(labeled)
+
+
+R2_COUNTS = [1, 1, 2, 8, 64, 1024, 32636, 1954100]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_speed_r2_is_the_circle_graphs(n):
+    # Halldorsson, Kitaev and Pyatkin, "Alternation graphs" (WG 2011): a
+    # word with at most two copies per letter stays a word for its graph
+    # when its once-only letters move to the front, so R_2 is the
+    # alternation graphs of double-occurrence words, the circle graphs
+    chord_graphs = _chord_graphs(n)
+    *_, last = _speed_layers("R", 2, n, node_budget=n, max_len=None)
+    members = {cls.code: cls.labeled for cls, member in last if member}
+    assert {_canonical_form(list(masks))[0] for masks in chord_graphs} == set(members)
+    assert sum(members.values()) == R2_COUNTS[n]
+    if n <= 5:
+        assert _relabeled_count(chord_graphs, n) == R2_COUNTS[n]
+
+
+@pytest.mark.parametrize(
     "kind, k, count, searches, leaf_checks",
-    [("L", 1, 332, 41, 77), ("R", 2, 1024, 53, 0), ("L", 2, 1024, 53, 52)],
+    [("L", 1, 332, 38, 54), ("R", 2, 1024, 53, 0), ("L", 2, 1024, 53, 52)],
 )
 def test_speed_sweep_search_counts_are_pinned(monkeypatch, kind, k, count, searches, leaf_checks):
     # machine-independent: one uncapped 5-node sweep, class tower included
@@ -645,8 +739,10 @@ def test_speed_six_nodes_need_a_budget(capsys, monkeypatch):
         ("L", 1, 6, 2874),  # OEIS A005840
         ("R", 2, 6, 32636),
         ("L", 2, 6, 32696),
+        ("R", 3, 6, 32696),
         ("L", 1, 7, 29024),  # OEIS A005840
         pytest.param("R", 2, 7, 1954100, marks=pytest.mark.slow),
+        pytest.param("R", 3, 7, 2054480, marks=pytest.mark.slow),
     ],
 )
 def test_speed_counts_are_pinned(capsys, kind, k, n, count):
@@ -669,8 +765,6 @@ def test_help_exits_zero(capsys):
 
 
 def test_internal_error_exits_four(capsys, monkeypatch):
-    import wordgraphs.cli as cli
-
     def broken(args):
         raise RuntimeError("invariant broke\nsecond line")
 

@@ -7,7 +7,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from wordgraphs import TWO, Connect, Create, ParseError, Rename, Union, parse, serialize  # noqa: E402
+from wordgraphs import TWO, Connect, Create, ParseError, Rename, Union, locality, parse, serialize  # noqa: E402
 from wordgraphs.graphs import Graph  # noqa: E402
 from wordgraphs.words import _alternation_scan, graph_of_word  # noqa: E402
 
@@ -52,6 +52,16 @@ def test_graph_of_word_matches_pairwise_scan(word):
         if _alternation_scan(word, a, b)
     ]
     assert graph_of_word(word) == Graph(letters, edges)
+
+
+@settings(database=None, max_examples=300, deadline=None)
+@given(string_words.filter(bool), st.data())
+def test_a_factor_is_never_more_local_than_its_word(word, data):
+    # the `wg speed` window search does not extend a completed prefix that
+    # fails is_k_local, since every extension then fails it too
+    i = data.draw(st.integers(0, len(word) - 1))
+    j = data.draw(st.integers(i + 1, len(word)))
+    assert locality(word[i:j])[0] <= locality(word)[0]
 
 
 @settings(database=None, max_examples=150, deadline=None)

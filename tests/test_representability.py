@@ -245,7 +245,11 @@ def test_lex_leader_search_agrees_with_the_unpruned_search():
     # the symmetry cut may only skip renamings: at every length up to the
     # complete bound, with twin transpositions, with the canonical-form
     # generators and with every automorphism, the search returns what the
-    # search without symmetries returns
+    # search without symmetries returns; so do the windows `wg speed`
+    # searches, from 2n - omega or one more to that bound, with the
+    # canonical-form generators. A window finds a word exactly when one of
+    # its lengths does, and the word represents the graph, for class L as a
+    # k-local word
     for n in range(5):
         for g in enumerate_labeled_graphs(n):
             letters = g.sorted_nodes()
@@ -265,11 +269,23 @@ def test_lex_leader_search_agrees_with_the_unpruned_search():
             for kind, k in (("R", 1), ("R", 2), ("R", 3), ("L", 1), ("L", 2)):
                 maxc = k if kind == "R" else k + 1
                 local_k = None if kind == "R" else k
-                for length in range(maxc * n + 1):
-                    args = (letters, adj, maxc, length, local_k, nonedges)
-                    unpruned = _search_exact_length(*args, *none)
+                top = maxc * n
+                exact = []
+                for length in range(top + 1):
+                    args = (letters, adj, maxc, length, length, local_k, nonedges)
+                    exact.append(_search_exact_length(*args, *none))
                     for lower, higher in symmetries:
-                        assert _search_exact_length(*args, lower, higher) == unpruned, (g, kind, k, length)
+                        assert _search_exact_length(*args, lower, higher) == exact[-1], (g, kind, k, length)
+                shortest = 2 * n - _clique_number(adj)
+                assert all(word is None for word in exact[:shortest])
+                for lo in range(shortest, min(shortest + 2, top + 1)):
+                    args = (letters, adj, maxc, lo, top, local_k, nonedges)
+                    found = _search_exact_length(*args, *none)
+                    assert _search_exact_length(*args, *symmetries[1]) == found, (g, kind, k, lo)
+                    assert (found is None) == all(word is None for word in exact[lo:]), (g, kind, k, lo)
+                    if found is not None:
+                        assert lo <= len(found) <= top and graph_of_word(found) == g, (g, kind, k, found)
+                        assert local_k is None or is_k_local(found, local_k)
 
 
 def test_lex_leader_leaf_checks_are_pinned(monkeypatch):
