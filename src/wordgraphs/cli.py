@@ -38,7 +38,6 @@ from .graphs import (
     to_json_text,
     _GraphClass,
     _graph_classes,
-    _int_nodes,
     _is_threshold,
 )
 from .locality import (
@@ -57,6 +56,7 @@ from .representability import (
     represent_clique_partition,
     uniformize,
     _any_word,
+    _extend_word,
 )
 from .words import graph_of_word
 
@@ -402,27 +402,34 @@ def _cmd_cwd_verify(args) -> int:
 
 def _speed_layers(
     class_kind: str, k: int, n: int, *, node_budget: int, max_len: int | None
-) -> Iterator[list[tuple[_GraphClass, bool]]]:
-    """Each isomorphism class on m nodes with its membership, one list per
-    decided size m, smallest first; the last list is always m = n.
+) -> Iterator[list[tuple[_GraphClass, str | None]]]:
+    """Each isomorphism class on m nodes with a word for it, or None for a
+    non-member, one list per decided size m, smallest first; the last list
+    is always m = n. A word is on the class's canonical labeling, letter
+    chr(i) standing for node i (node "i + 1" of the class's graph), and
+    need not be the least one.
 
     L_k and R_k are hereditary, so a class with a refuted parent (one of
-    its G - v) is a non-member and no search runs for it. Refuted classes
-    are kept by (m, code): a bare code names a class only among graphs of
-    one size. Every other class, whose G - v are all members, is searched
-    for any word of at most `longest` letters (`representability._any_word`),
-    on the tower's canonical masks and automorphism generators, with its
-    letters in position order ("1".."m"). A count needs no least word, so
-    class R searches all lengths from 2m - omega in one window, and class
-    L the shortest length and then one window over the rest; neither runs
-    `decide_membership`'s loop of one length at a time. A refuted parent
-    settles its children only when its "no" is conclusive, so a size
-    m < n is swept only when its complete bound maxc * m fits within
-    max_len.
+    its G - v) is a non-member and no search runs for it. Every other class
+    is first settled by extension: the word kept for a parent, renamed into
+    the class's labeling by the tower's embedding, with copies of the
+    deleted vertex v inserted (`representability._extend_word`). Only when
+    no parent's word extends is the class searched for any word of at most
+    `longest` letters (`representability._any_word`), on the tower's
+    canonical masks and automorphism generators, so every "no" is still
+    exhaustive. A count needs no least word, so class R searches all
+    lengths from 2m - omega in one window, and class L the shortest length
+    and then one window over the rest; neither runs `decide_membership`'s
+    loop of one length at a time. The words of one size are kept until the
+    next is swept. A refuted parent settles its children only when its "no"
+    is conclusive, so a size m < n is swept only when its complete bound
+    maxc * m fits within max_len.
     """
     maxc = k if class_kind == "R" else k + 1
     local_k = None if class_kind == "R" else k
-    refuted: set[tuple[int, int]] = set()
+    # the members of the size swept last, m - 1, by code, with their words;
+    # None when that size was not swept
+    words: dict[int, str] | None = None
     for m, layer in enumerate(_graph_classes(n, node_budget=node_budget)):
         if not m:
             # as decide_membership would, before any class is searched
@@ -440,17 +447,39 @@ def _speed_layers(
             # edgeless graph, whose parent is a member. For maxc = 1, K_n
             # (parent K_(n-1), a member) exceeds the cap too, so both raise,
             # and the budget message names no class.
+            words = None
             continue
+        letters = [chr(i) for i in range(m)]
         answers = []
+        kept = {}
         for cls in layer:
-            if any((m - 1, p) in refuted for p in cls.parents):
-                member = False
-            else:
-                member = _any_word(_int_nodes(m), cls.masks, maxc, local_k, longest, cls.generators) is not None
-            if not member:
-                refuted.add((m, cls.code))
-            answers.append((cls, member))
+            word = None
+            if words is None or all(p in words for p, _ in cls.parents):
+                if words:
+                    word = _extended(cls, words, maxc, local_k, longest)
+                if word is None:
+                    found = _any_word(letters, cls.masks, maxc, local_k, longest, cls.generators)
+                    word = None if found is None else "".join(found)
+            if word is not None:
+                kept[cls.code] = word
+            answers.append((cls, word))
+        words = kept
         yield answers
+
+
+def _extended(
+    cls: _GraphClass, words: dict[int, str], maxc: int, local_k: int | None, longest: int
+) -> str | None:
+    """A word for `cls` made by inserting the deleted vertex into the word
+    of one of its parents, tried in order of code, or None if none extends.
+    A parent's word is renamed by its embedding: the embedding's byte i is
+    where node i of the parent sits, so `str.translate` maps chr(i) there."""
+    for code, embedding in cls.parents:
+        v = embedding[-1]
+        word = _extend_word(words[code].translate(embedding), v, cls.masks[v], maxc, local_k, longest)
+        if word is not None:
+            return word
+    return None
 
 
 def _cmd_speed(args) -> int:
@@ -473,9 +502,9 @@ def _cmd_speed(args) -> int:
     *_, last = _speed_layers(
         args.class_kind, args.k, args.n, node_budget=node_budget, max_len=max_len
     )
-    for cls, member in last:
+    for cls, word in last:
         total += cls.labeled
-        if member:
+        if word is not None:
             count += cls.labeled
         if crosscheck and _is_threshold(cls.masks):
             threshold_count += cls.labeled

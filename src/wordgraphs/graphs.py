@@ -611,13 +611,21 @@ def enumerate_labeled_graphs(
 
 
 class _GraphClass(NamedTuple):
-    """One isomorphism class on nodes "1".."m", in its canonical labeling."""
+    """One isomorphism class on nodes "1".."m", in its canonical labeling.
+
+    Its parents are the classes of its G - v, each with one embedding into
+    it, so a word for a parent can be renamed into a word for G - v in this
+    class's letters (`cli._speed_layers` extends such words).
+    """
 
     code: int
     # labeled graphs in the class, m!/|Aut|
     labeled: int
-    # codes of the classes of its G - v, on m - 1 nodes
-    parents: frozenset[int]
+    # the classes of its G - v, on m - 1 nodes, in ascending order of code:
+    # (code, embedding), where byte i of the embedding is the position in
+    # this class's canonical labeling of the parent's canonical vertex i,
+    # and the last byte is that of the vertex v deleted to give the parent
+    parents: tuple[tuple[int, bytes], ...]
     # neighbour masks, bit j of entry i set when nodes i + 1 and j + 1 are
     # adjacent, and automorphism generators as permutations of range(m);
     # tuples, as the class tower is shared by every sweep in the process
@@ -627,7 +635,7 @@ class _GraphClass(NamedTuple):
 
 # The class tower: entry m holds the classes on m nodes. It depends on
 # nothing but m, so `_graph_classes` grows it on demand, once per process.
-_CLASS_TOWER: list[tuple[_GraphClass, ...]] = [(_GraphClass(0, 1, frozenset(), (), ()),)]
+_CLASS_TOWER: list[tuple[_GraphClass, ...]] = [(_GraphClass(0, 1, (), (), ()),)]
 
 
 def _graph_classes(
@@ -646,9 +654,13 @@ def _graph_classes(
     vertex gives back the parent, and every G - v grows back into G, so
     they are exactly the classes of its G - v; `wg speed` counts a class as
     a non-member without a search when one of them was conclusively
-    refuted (see `cli._speed_layers`). Each class keeps its canonical masks
-    and generators, which are all the word search that sweep runs on it
-    reads, and no `Graph`. Each tuple is in ascending order of code.
+    refuted, and otherwise first tries to extend a parent's word (see
+    `cli._speed_layers`). With each parent the class keeps where the first
+    growth from it put the parent's canonical vertices and the new one:
+    the canonical form of that growth already gives it, so no canonical
+    form is computed for it. Each class keeps its canonical masks and
+    generators, which are all the word search that sweep runs on it reads,
+    and no `Graph`. Each tuple is in ascending order of code.
 
     The layers live in one store, `_CLASS_TOWER`, shared by every call in
     the process: a call yields the stored layers and grows only those
@@ -659,8 +671,8 @@ def _graph_classes(
     are stored. Only a process that sweeps more than once gains: a single
     `wg speed` starts from the 0-node seed and grows every layer, as
     before. The store keeps every size it has reached until the process
-    exits and is never trimmed (tracemalloc: 0.04 MB up to 5 nodes, 1.0 MB
-    up to 7, 12 MB up to 8).
+    exits and is never trimmed (tracemalloc: 0.04 MiB up to 5 nodes, 1.2
+    MiB up to 7, 14.7 MiB up to 8).
     """
     _enumeration_nodes(n, node_budget)
     for m in range(n + 1):
@@ -672,25 +684,32 @@ def _graph_classes(
 def _grow(parents: tuple[_GraphClass, ...], m: int) -> tuple[_GraphClass, ...]:
     """The classes on m nodes, from `parents`, all the classes on m - 1."""
     new = m - 1
-    # code -> (canonical neighbour masks, |Aut|, parent codes, automorphism
-    # generators in the canonical labeling)
-    grown: dict[int, tuple[tuple[int, ...], int, set[int], tuple[tuple[int, ...], ...]]] = {}
+    # code -> (canonical neighbour masks, |Aut|, parent code -> embedding,
+    # automorphism generators in the canonical labeling)
+    grown: dict[int, tuple[tuple[int, ...], int, dict[int, bytes], tuple[tuple[int, ...], ...]]] = {}
     for parent in parents:
         for joined in _orbit_leaders(new, parent.generators):
             masks = [a | (joined >> i & 1) << new for i, a in enumerate(parent.masks)]
             masks.append(joined)
             code, automorphisms, order, generators = _canonical_form(masks)
+            position = [0] * m
+            for p, v in enumerate(order):
+                position[v] = p
             if code not in grown:
                 canonical = tuple(_compress(masks[v], order) for v in order)
-                position = {v: p for p, v in enumerate(order)}
                 relabeled = tuple(tuple(position[g[v]] for v in order) for g in generators)
-                grown[code] = (canonical, automorphisms, set(), relabeled)
-            grown[code][2].add(parent.code)
+                grown[code] = (canonical, automorphisms, {}, relabeled)
+            # every order that gives the code maps onto the same canonical
+            # masks, so the first growth from a parent embeds it
+            embeddings = grown[code][2]
+            if parent.code not in embeddings:
+                embeddings[parent.code] = bytes(position)
     relabelings = factorial(m)
     layer = []
     for code in sorted(grown):
-        adj, automorphisms, codes, generators = grown[code]
-        layer.append(_GraphClass(code, relabelings // automorphisms, frozenset(codes), adj, generators))
+        adj, automorphisms, embeddings, generators = grown[code]
+        embedded = tuple(sorted(embeddings.items()))
+        layer.append(_GraphClass(code, relabelings // automorphisms, embedded, adj, generators))
     return tuple(layer)
 
 

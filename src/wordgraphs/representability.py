@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .errors import BudgetExceededError
@@ -164,14 +165,16 @@ def decide_membership(
     shares one word search, `_search_exact_length`, with `wg speed`. That
     search accepts any length in a window [lo, hi]; here every call has
     lo = hi, one length at a time in ascending order. A `wg speed` sweep
-    (`cli._speed_layers`) keeps no witness, so it searches a class through
-    `_any_word` instead: on the class tower's canonical masks and
+    (`cli._speed_layers`) needs no least word. It answers G - v from its
+    store of refuted classes: it decides a class only when every G - v, a
+    class one size smaller, was already decided a member. It then first
+    inserts the deleted vertex into the word it kept for a G - v
+    (`_extend_word`), and only when no such word extends searches the
+    class through `_any_word`: on the class tower's canonical masks and
     generators, and over a window of lengths rather than one length at a
-    time. It answers G - v from its store of refuted classes: it searches
-    a class only when every G - v, a class one size smaller, was already
-    decided a member. Under a word-length cap it keeps the same rule as
-    here, and stores only the sizes whose complete bound fits within the
-    cap.
+    time, so its "no" is as exhaustive as this one. Under a word-length cap
+    it keeps the same rule as here, and stores only the sizes whose
+    complete bound fits within the cap.
 
     The search space is complete for both classes, so within budget the
     negative answer is sound; a graph over budget raises instead of
@@ -266,7 +269,9 @@ def _any_word(
 ) -> list[str] | None:
     """Some word of at most `longest` letters for the graph with neighbour
     masks `adj`, or None if it has none; raises if `longest` leaves that
-    open. `symmetries` are automorphism generators, as permutations.
+    open. `symmetries` are automorphism generators, as permutations. The
+    `wg speed` sweep calls it for the classes whose G - v words do not
+    extend (`_extend_word`), which are all its "no"s and a few "yes"es.
 
     Unlike `_settle` this need not be the least shortest word, so the
     lengths need not be refuted one at a time. Class "R" searches all of
@@ -289,6 +294,80 @@ def _any_word(
             if word is not None:
                 return word
     _check_conclusive(longest, maxc * m)
+    return None
+
+
+def _extend_word(
+    word: str, v: int, near: int, maxc: int, local_k: int | None, longest: int
+) -> str | None:
+    """A word for G made by inserting copies of node v into `word`, a word
+    for G - v (so its letters are all nodes but v) with at most maxc copies
+    of each letter, or None if no insertion fits. Letter chr(i) stands for
+    node i, and the bitmask `near` holds v's neighbours in G.
+
+    Inserting v leaves the projection of every other pair as it was, so the
+    result is a word for G exactly when v alternates with its neighbours
+    and with no other letter. Insertions are tried with 1..maxc copies,
+    fewer first, and their gaps (gap g lies before word[g]) as ascending
+    sequences in lexicographic order; the first that fits within `longest`
+    letters and, for class "L", is k-local is returned. It is not a search
+    for words of G: None says only that this word does not extend.
+
+    v alternates with u when at most one copy of u lies before v's first
+    copy, exactly one between each two, and at most one after the last.
+    The copies of every letter before each gap are packed into one integer,
+    a field of `width` bits per node, so each rule is one addition on all
+    letters at once: a field never exceeds maxc + 1 <= 2^(width - 1), so
+    adding 2^(width - 1) - 1 (or - 2) to it sets its top bit exactly when
+    it is at least 1 (or 2), and carries into no other field. The gaps are
+    grown one at a time on the rules for the neighbours, and the others are
+    checked once all are placed.
+    """
+    size = len(word)
+    top = maxc.bit_length()
+    width = top + 1
+    nodes = len(set(word)) + 1
+    fields = [1 << i * width for i in range(nodes)]  # the low bit of node i's field
+    ones = sum(fields) ^ fields[v]  # every letter of the word, which are all nodes but v
+    close = sum(fields[i] for i in range(nodes) if near >> i & 1)
+    some = ones * ((1 << top) - 1)
+    many = ones * ((1 << top) - 2)
+    # seen[g]: the copies of each letter before gap g
+    seen = [0, *accumulate(map(fields.__getitem__, map(ord, word)))]
+    letter = chr(v)
+
+    def insert(gaps: list[int], apart: int, copies: int) -> str | None:
+        # apart: the low bits of the letters already kept from alternating
+        last = gaps[-1]
+        if len(gaps) == copies:
+            if apart | (seen[size] - seen[last] + many) >> top & ones != ones ^ close:
+                return None
+            extended = word
+            for g in reversed(gaps):
+                extended = extended[:g] + letter + extended[g:]
+            if local_k is None or is_k_local(extended, local_k, letter_budget=nodes):
+                return extended
+            return None
+        # the copies of a letter between two gaps only grow with the second
+        for g in range(last, size + 1):
+            between = seen[g] - seen[last]
+            if (between + many) >> top & close:
+                break
+            missed = ((between ^ ones) + some) >> top & ones
+            if not missed & close:
+                extended = insert(gaps + [g], apart | missed, copies)
+                if extended is not None:
+                    return extended
+        return None
+
+    for copies in range(1, min(maxc, longest - size) + 1):
+        for g in range(size + 1):
+            before = (seen[g] + many) >> top & ones
+            if before & close:
+                break
+            extended = insert([g], before, copies)
+            if extended is not None:
+                return extended
     return None
 
 

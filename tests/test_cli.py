@@ -537,19 +537,25 @@ def _sweep_answers(kind, k, n):
     answers = {}
     minimal = {}
     for layer in _speed_layers(kind, k, n, node_budget=n, max_len=None):
-        for cls, member in layer:
+        for cls, word in layer:
             m = len(cls.masks)
-            answers[m, cls.code] = member
-            if not member and all(answers[m - 1, p] for p in cls.parents):
+            answers[m, cls.code] = member = word is not None
+            if not member and all(answers[m - 1, p] for p, _ in cls.parents):
                 minimal[m, cls.code] = cls.labeled
     return answers, minimal
 
 
+# W5, a hub on a 5-cycle, and the prism, two triangles matched
+WHEEL = Graph(
+    "012345", [("0", v) for v in "12345"] + [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("1", "5")]
+)
+PRISM = Graph(
+    "123456",
+    [("1", "2"), ("2", "3"), ("1", "3"), ("4", "5"), ("5", "6"), ("4", "6"), ("1", "4"), ("2", "5"), ("3", "6")],
+)
+
+
 def test_speed_layers_give_the_minimal_forbidden_subgraphs():
-    hub = [("0", v) for v in "12345"]
-    wheel = Graph("012345", hub + [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("1", "5")])
-    triangles = [("1", "2"), ("2", "3"), ("1", "3"), ("4", "5"), ("5", "6"), ("4", "6")]
-    prism = Graph("123456", triangles + [("1", "4"), ("2", "5"), ("3", "6")])
     sweeps = {(kind, k): _sweep_answers(kind, k, 6) for kind, k in SPEED_CLASSES + [("R", 3)]}
     # Chvatal and Hammer: threshold graphs are the (2K2, C4, P4)-free graphs
     assert sweeps["L", 1][1] == {
@@ -559,9 +565,9 @@ def test_speed_layers_give_the_minimal_forbidden_subgraphs():
     }
     # one copy per letter represents only complete graphs
     assert sweeps["R", 1][1] == {_class_key(empty_graph(2)): 1}
-    assert sweeps["R", 2][1] == {_class_key(wheel): 72, _class_key(prism): 60}
-    assert sweeps["L", 2][1] == {_class_key(wheel): 72}
-    assert sweeps["R", 3][1] == {_class_key(wheel): 72}
+    assert sweeps["R", 2][1] == {_class_key(WHEEL): 72, _class_key(PRISM): 60}
+    assert sweeps["L", 2][1] == {_class_key(WHEEL): 72}
+    assert sweeps["R", 3][1] == {_class_key(WHEEL): 72}
     # criterion 7, L_k within R_(k+1), up to 6 nodes: no R_(k+1) obstruction
     # is in L_k, and so no member of L_k is outside R_(k+1)
     for k in (1, 2):
@@ -577,40 +583,85 @@ def test_speed_layers_agree_with_decide_class_by_class(kind, k, n):
     layers = list(_speed_layers(kind, k, n, node_budget=n, max_len=None))
     assert len(layers) == n + 1
     for m, layer in enumerate(layers):
-        for cls, member in layer:
+        for cls, word in layer:
             g = class_graph(cls)
             assert len(g.nodes) == m
             query = MembershipQuery(graph=g, class_kind=kind, k=k, node_budget=n)
-            assert decide_membership(query)[0] == member, (kind, k, g)
+            assert decide_membership(query)[0] == (word is not None), (kind, k, g)
+
+
+def _node_names(word):
+    """A sweep word, letter chr(i) for node i, in the class graph's node
+    names "1".."m"."""
+    return [str(ord(c) + 1) for c in word]
 
 
 @pytest.mark.parametrize(
     "kind, k, n",
     [(kind, k, 5) for kind, k in SPEED_CLASSES + [("R", 3), ("L", 3)]] + [("L", 2, 6), ("R", 3, 6)],
 )
-def test_speed_sweep_words_certify_every_member(monkeypatch, kind, k, n):
-    # the sweep keeps no witness, but every "yes" comes from a word its
-    # search accepted: that word must represent the class within the copy
-    # bound, and for class L be k-local
+def test_speed_sweep_words_certify_every_member(kind, k, n):
+    # the word the sweep yields with every "yes", from extension or from
+    # the search, must represent the class within the copy bound, and for
+    # class L be k-local
     maxc = k if kind == "R" else k + 1
-    real = cli._any_word
-    words = {}  # the word found for each searched class, by its masks
-
-    def recording(letters, adj, *args):
-        words[adj] = real(letters, adj, *args)
-        return words[adj]
-
-    monkeypatch.setattr(cli, "_any_word", recording)
     for layer in _speed_layers(kind, k, n, node_budget=n, max_len=None):
-        for cls, member in layer:
-            if not member:
-                assert words.get(cls.masks) is None
+        for cls, word in layer:
+            if word is None:
                 continue
-            word = words[cls.masks]
-            assert graph_of_word(word) == class_graph(cls), (kind, k, word)
+            assert graph_of_word(_node_names(word)) == class_graph(cls), (kind, k, word)
             assert max(Counter(word).values(), default=0) <= maxc
             if kind == "L":
                 assert is_k_local(word, k)
+
+
+def _first_insertion(word, v, maxc, local_k, cap, target):
+    """The first insertion of 1..maxc copies of node v into the sweep word,
+    fewer copies first and gap sequences in lexicographic order, whose
+    graph is the target within cap letters (and k-local for class L), by
+    brute force."""
+    for copies in range(1, maxc + 1):
+        for gaps in itertools.combinations_with_replacement(range(len(word) + 1), copies):
+            extended = list(word)
+            for g in reversed(gaps):
+                extended.insert(g, chr(v))
+            if len(extended) > cap or graph_of_word(_node_names(extended)) != target:
+                continue
+            if local_k is None or is_k_local(extended, local_k):
+                return "".join(extended)
+    return None
+
+
+@pytest.mark.parametrize("kind, k", SPEED_CLASSES + [("R", 3)])
+def test_extend_word_is_sound(kind, k):
+    # every class up to 6 nodes whose G - v are all members, from the word
+    # the sweep kept for each parent, mapped into the class's labels by the
+    # tower's embedding: a word the insertion returns is a certificate
+    # within the copy bound and the cap, a non-member's parents never
+    # extend, and the word is the first insertion that fits by brute force
+    maxc = k if kind == "R" else k + 1
+    local_k = None if kind == "R" else k
+    words = {}
+    for m, layer in enumerate(_speed_layers(kind, k, 6, node_budget=6, max_len=None)):
+        for cls, member_word in layer:
+            if not all(p in words for p, _ in cls.parents):
+                continue
+            target = class_graph(cls)
+            for code, embedding in cls.parents:
+                v = embedding[-1]
+                word = "".join(chr(embedding[ord(c)]) for c in words[code])
+                for cap in (maxc * m, len(word) + 1):
+                    extended = representability._extend_word(word, v, cls.masks[v], maxc, local_k, cap)
+                    assert extended == _first_insertion(word, v, maxc, local_k, cap, target)
+                    if member_word is None:
+                        assert extended is None, (kind, k, target, code)
+                    elif extended is not None:
+                        assert graph_of_word(_node_names(extended)) == target
+                        assert max(Counter(extended).values()) <= maxc
+                        assert len(extended) <= cap
+                        if kind == "L":
+                            assert is_k_local(extended, k)
+        words = {cls.code: word for cls, word in layer if word is not None}
 
 
 def _chord_diagrams(n):
@@ -674,14 +725,36 @@ def test_speed_r2_is_the_circle_graphs(n):
         assert _relabeled_count(chord_graphs, n) == R2_COUNTS[n]
 
 
+@pytest.mark.parametrize("n", [6, pytest.param(7, marks=pytest.mark.slow)])
+def test_r2_minimal_non_members_from_the_chord_image(n):
+    # a class outside the chord image whose G - v all lie inside it is a
+    # minimal non-member of R_2 with no word search: the sweep's are W5 and
+    # the prism at 6 nodes, and 37 classes at 7
+    image = {m: {_canonical_form(list(masks))[0] for masks in _chord_graphs(m)} for m in (n - 1, n)}
+    *_, last = _graph_classes(n, node_budget=n)
+    minimal = {
+        (n, cls.code): cls.labeled
+        for cls in last
+        if cls.code not in image[n] and all(p in image[n - 1] for p, _ in cls.parents)
+    }
+    swept = {key: labeled for key, labeled in _sweep_answers("R", 2, n)[1].items() if key[0] == n}
+    assert minimal == swept
+    assert len(minimal) == {6: 2, 7: 37}[n]
+    if n == 6:
+        assert minimal == {_class_key(WHEEL): 72, _class_key(PRISM): 60}
+
+
 @pytest.mark.parametrize(
     "kind, k, count, searches, leaf_checks",
-    [("L", 1, 332, 38, 54), ("R", 2, 1024, 53, 0), ("L", 2, 1024, 53, 52)],
+    [("L", 1, 332, 7, 59), ("R", 2, 1024, 1, 0), ("L", 2, 1024, 1, 52)],
 )
 def test_speed_sweep_search_counts_are_pinned(monkeypatch, kind, k, count, searches, leaf_checks):
     # machine-independent: one uncapped 5-node sweep, class tower included
     # and grown from a cold store; the search reads the tower's masks, so
-    # it builds none from a Graph
+    # it builds none from a Graph. A class whose G - v are all members is
+    # searched only when no parent's word extends, so the searches are the
+    # 0-node class and, for L,1, the refutations of 2K2, C4 and P4 (two
+    # windows each); the leaf checks include the extensions' is_k_local
     monkeypatch.setattr(graphs, "_CLASS_TOWER", graphs._CLASS_TOWER[:1])
     calls = {"_search_exact_length": 0, "is_k_local": 0, "_canonical_form": 0, "_neighbour_masks": 0}
 
@@ -743,6 +816,7 @@ def test_speed_six_nodes_need_a_budget(capsys, monkeypatch):
         ("L", 1, 7, 29024),  # OEIS A005840
         pytest.param("R", 2, 7, 1954100, marks=pytest.mark.slow),
         pytest.param("R", 3, 7, 2054480, marks=pytest.mark.slow),
+        pytest.param("L", 2, 7, 2046920, marks=pytest.mark.slow),
     ],
 )
 def test_speed_counts_are_pinned(capsys, kind, k, n, count):

@@ -276,14 +276,21 @@ def test_graph_classes_counts():
 
 def test_graph_classes_parents_are_the_classes_of_g_minus_v():
     layers = list(_graph_classes(6, node_budget=6))
-    assert layers[0][0].parents == frozenset()
+    assert layers[0][0].parents == ()
     for n, layer in enumerate(layers[1:], 1):
-        smaller = {cls.code for cls in layers[n - 1]}
+        smaller = {cls.code: cls for cls in layers[n - 1]}
         for cls in layer:
             g = class_graph(cls)
             deleted = {_canonical_form(_neighbour_masks(induced_subgraph(g, g.nodes - {v})))[0] for v in g.nodes}
-            assert cls.parents == deleted
-            assert cls.parents <= smaller
+            codes = [code for code, _ in cls.parents]
+            assert codes == sorted(deleted)
+            # the embedding maps the parent's canonical graph onto G - v,
+            # v being the vertex at the last byte's position
+            for code, embedding in cls.parents:
+                assert sorted(embedding) == list(range(n))
+                parent = smaller[code].masks
+                for i, j in itertools.combinations(range(n - 1), 2):
+                    assert parent[i] >> j & 1 == cls.masks[embedding[i]] >> embedding[j] & 1
 
 
 def test_graph_classes_checks_like_the_labeled_enumeration(monkeypatch):
@@ -427,7 +434,8 @@ def _grow_every_subset(n):
 def test_graph_classes_grow_one_subset_per_orbit_like_every_subset():
     plain = _grow_every_subset(7)
     for m, layer in enumerate(_graph_classes(7, node_budget=7)):
-        assert [(cls.code, cls.labeled, cls.parents) for cls in layer] == plain[m]
+        grown = [(cls.code, cls.labeled, frozenset(code for code, _ in cls.parents)) for cls in layer]
+        assert grown == plain[m]
 
 
 def test_graph_classes_canonical_form_calls_are_pinned(monkeypatch):
