@@ -7,7 +7,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from .cliquewidth import (
     ParseError,
@@ -36,8 +36,6 @@ from .graphs import (
     to_edge_list_text,
     to_json_dict,
     to_json_text,
-    _GraphClass,
-    _graph_classes,
     _is_threshold,
 )
 from .locality import (
@@ -55,8 +53,7 @@ from .representability import (
     decide_membership,
     represent_clique_partition,
     uniformize,
-    _any_word,
-    _extend_word,
+    _speed_layers,
 )
 from .words import graph_of_word
 
@@ -400,99 +397,10 @@ def _cmd_cwd_verify(args) -> int:
     return 0
 
 
-def _speed_layers(
-    class_kind: str, k: int, n: int, *, node_budget: int, max_len: int | None
-) -> Iterator[list[tuple[_GraphClass, str | None]]]:
-    """Each isomorphism class on m nodes with a word for it, or None for a
-    non-member, one list per decided size m, smallest first; the last list
-    is always m = n. A word is on the class's canonical labeling, letter
-    chr(i) standing for node i (node "i + 1" of the class's graph), and
-    need not be the least one.
-
-    L_k and R_k are hereditary, so a class with a refuted parent (one of
-    its G - v) is a non-member and no search runs for it. Every other class
-    is first settled by extension: the word kept for a parent, renamed into
-    the class's labeling by the tower's embedding, with copies of the
-    deleted vertex v inserted (`representability._extend_word`). Only when
-    no parent's word extends is the class searched for any word of at most
-    `longest` letters (`representability._any_word`), on the tower's
-    canonical masks and automorphism generators, so every "no" is still
-    exhaustive. A count needs no least word, so class R searches all
-    lengths from 2m - omega in one window, and class L the shortest length
-    and then one window over the rest; neither runs `decide_membership`'s
-    loop of one length at a time. The words of one size are kept until the
-    next is swept. A refuted parent settles its children only when its "no"
-    is conclusive, so a size m < n is swept only when its complete bound
-    maxc * m fits within max_len.
-    """
-    maxc = k if class_kind == "R" else k + 1
-    local_k = None if class_kind == "R" else k
-    # the members of the size swept last, m - 1, by code, with their words;
-    # None when that size was not swept
-    words: dict[int, str] | None = None
-    for m, layer in enumerate(_graph_classes(n, node_budget=node_budget)):
-        if not m:
-            # as decide_membership would, before any class is searched
-            _check_k(k)
-        complete = maxc * m
-        longest = complete if max_len is None else min(complete, max_len)
-        if m < n and longest < complete:
-            # A "no" here would not be conclusive. The sizes kept are the
-            # ones whose G - v "no" decide_membership trusts, so the store
-            # answers size n as a per-class loop of it would. The two could
-            # differ only on a class with a refuted parent whose shortest
-            # length 2n - omega exceeds the cap, where the per-class search
-            # raises and the store says no; that needs maxc * (n - 1) <=
-            # max_len < 2n - omega. For maxc >= 2 it forces omega <= 1, the
-            # edgeless graph, whose parent is a member. For maxc = 1, K_n
-            # (parent K_(n-1), a member) exceeds the cap too, so both raise,
-            # and the budget message names no class.
-            words = None
-            continue
-        letters = [chr(i) for i in range(m)]
-        answers = []
-        kept = {}
-        for cls in layer:
-            word = None
-            if words is None or all(p in words for p, _ in cls.parents):
-                if words:
-                    word = _extended(cls, words, maxc, local_k, longest)
-                if word is None:
-                    found = _any_word(letters, cls.masks, maxc, local_k, longest, cls.generators)
-                    word = None if found is None else "".join(found)
-            if word is not None:
-                kept[cls.code] = word
-            answers.append((cls, word))
-        words = kept
-        yield answers
-
-
-def _extended(
-    cls: _GraphClass, words: dict[int, str], maxc: int, local_k: int | None, longest: int
-) -> str | None:
-    """A word for `cls` made by inserting the deleted vertex into the word
-    of one of its parents, tried in order of code, or None if none extends.
-    A parent's word is renamed by its embedding: the embedding's byte i is
-    where node i of the parent sits, so `str.translate` maps chr(i) there."""
-    for code, embedding in cls.parents:
-        v = embedding[-1]
-        word = _extend_word(words[code].translate(embedding), v, cls.masks[v], maxc, local_k, longest)
-        if word is not None:
-            return word
-    return None
-
-
 def _cmd_speed(args) -> int:
-    """Count the labeled n-node graphs in the class.
-
-    Membership is invariant under isomorphism, so one graph per class is
-    decided and counted with the number of labeled graphs in its class.
-    The sizes 0..n are swept smallest first (`_speed_layers`): a class
-    one of whose G - v was refuted is a non-member without a search. A
-    --budget-len below a size's complete bound skips that size, so the
-    store holds only conclusive answers and the n-node classes exit,
-    print and raise as a per-class loop does.
-    """
+    """Count the labeled n-node graphs in the class: one answer per
+    isomorphism class, weighted by its labeled graphs, from the sweep
+    `representability._speed_layers`."""
     node_budget = _resolve(args.budget_nodes, "WG_BUDGET_NODES", ENUMERATION_BUDGET_DEFAULT)
     max_len = _resolve(args.budget_len, "WG_BUDGET_LEN", 0) or None
     crosscheck = args.class_kind == "L" and args.k == 1

@@ -615,7 +615,7 @@ class _GraphClass(NamedTuple):
 
     Its parents are the classes of its G - v, each with one embedding into
     it, so a word for a parent can be renamed into a word for G - v in this
-    class's letters (`cli._speed_layers` extends such words).
+    class's letters (`representability._speed_layers` extends such words).
     """
 
     code: int
@@ -655,10 +655,10 @@ def _graph_classes(
     they are exactly the classes of its G - v; `wg speed` counts a class as
     a non-member without a search when one of them was conclusively
     refuted, and otherwise first tries to extend a parent's word (see
-    `cli._speed_layers`). With each parent the class keeps where the first
-    growth from it put the parent's canonical vertices and the new one:
-    the canonical form of that growth already gives it, so no canonical
-    form is computed for it. Each class keeps its canonical masks and
+    `representability._speed_layers`). With each parent the class keeps
+    where the first growth from it put the parent's canonical vertices and
+    the new one: the canonical form of that growth already gives it, so no
+    canonical form is computed for it. Each class keeps its canonical masks and
     generators, which are all the word search that sweep runs on it reads,
     and no `Graph`. Each tuple is in ascending order of code.
 

@@ -11,15 +11,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError
 from .graphs import (
     Graph,
+    _GraphClass,
     _canonical_form,
     _check_node_budget,
     _clique_parts,
     _compress,
+    _graph_classes,
     _neighbour_masks,
     _twins,
 )
@@ -160,31 +162,17 @@ def decide_membership(
     only when neither that length nor a G - v settled the graph, use the
     `graphs._canonical_form` generators.
 
-    The length loop is `_settle`, on the neighbour masks of the sorted
-    nodes, and each G - v is settled by the memoised recursion above. It
-    shares one word search, `_search_exact_length`, with `wg speed`. That
-    search accepts any length in a window [lo, hi]; here every call has
-    lo = hi, one length at a time in ascending order. A `wg speed` sweep
-    (`cli._speed_layers`) needs no least word. It answers G - v from its
-    store of refuted classes: it decides a class only when every G - v, a
-    class one size smaller, was already decided a member. It then first
-    inserts the deleted vertex into the word it kept for a G - v
-    (`_extend_word`), and only when no such word extends searches the
-    class through `_any_word`: on the class tower's canonical masks and
-    generators, and over a window of lengths rather than one length at a
-    time, so its "no" is as exhaustive as this one. Under a word-length cap
-    it keeps the same rule as here, and stores only the sizes whose
-    complete bound fits within the cap.
+    Each length is one call of the word search `_search_exact_length`,
+    which accepts any length in a window [lo, hi]; here every call has
+    lo = hi, one length at a time in ascending order. `wg speed` runs the
+    same search with one window per class (`_speed_layers`).
 
     The search space is complete for both classes, so within budget the
     negative answer is sound; a graph over budget raises instead of
     guessing.
     """
     g = query.graph
-    k = query.k
-    _check_k(k)
-    if query.class_kind not in ("L", "R"):
-        raise ValueError(f'class_kind must be "L" or "R", got {query.class_kind!r}')
+    maxc, local_k = _copy_rule(query.class_kind, query.k)
     for field in ("node_budget", "max_len"):
         if (getattr(query, field) or 0) < 0:
             raise ValueError(f"{field} must be >= 0, got {getattr(query, field)}")
@@ -193,8 +181,6 @@ def decide_membership(
     if n == 0:
         return True, make_word(())
     letters = g.sorted_nodes()
-    maxc = k if query.class_kind == "R" else k + 1
-    local_k = None if query.class_kind == "R" else k
     complete_len = maxc * n
     max_len = complete_len if query.max_len is None else min(query.max_len, complete_len)
     adj = _neighbour_masks(g)
@@ -202,18 +188,36 @@ def decide_membership(
     refuted: dict[int, bool] = {}
 
     def settle(keep: int, longest: int) -> list[str] | None:
-        """`_settle` on the subgraph induced by the vertex bitmask `keep`."""
+        """The lexicographically least shortest word of at most `longest`
+        letters for the subgraph induced by the vertex bitmask `keep`, or
+        None if it has none; raises if `longest` leaves that open."""
         if keep == everyone:
             sub, sub_letters, sub_adj = range(n), letters, adj
         else:
             sub = [i for i in range(n) if keep >> i & 1]
             sub_letters = [letters[i] for i in sub]
             sub_adj = [_compress(adj[i] & keep, sub) for i in sub]
-        # G - v pays only when its "no" is conclusive within max_len
-        return _settle(
-            sub_letters, sub_adj, maxc, local_k, longest,
-            lambda: maxc * (len(sub) - 1) <= max_len and any(is_refuted(keep & ~(1 << i)) for i in sub),
-        )
+        m = len(sub)
+        nonedges = _nonedge_count(sub_adj)
+        shortest = 2 * m - _clique_number(sub_adj)
+        lower, higher = _lex_leader_masks(m, _twins(sub_adj), [])
+        for length in range(shortest, longest + 1):
+            if length == shortest + 1:
+                lower, higher = _lex_leader_masks(m, [], _canonical_form(sub_adj)[3])
+            witness = _search_exact_length(
+                sub_letters, sub_adj, maxc, length, length, local_k, nonedges, lower, higher
+            )
+            if witness is not None:
+                return witness
+            # G - v pays only when its "no" is conclusive within max_len
+            if (
+                length == shortest < maxc * m
+                and maxc * (m - 1) <= max_len
+                and any(is_refuted(keep & ~(1 << i)) for i in sub)
+            ):
+                return None
+        _check_conclusive(longest, maxc * m)
+        return None
 
     def is_refuted(keep: int) -> bool:
         if keep not in refuted:
@@ -226,75 +230,99 @@ def decide_membership(
     return True, make_word(witness)
 
 
-def _settle(
-    letters: list[str],
-    adj: Sequence[int],
-    maxc: int,
-    local_k: int | None,
-    longest: int,
-    subgraph_refuted: Callable[[], bool],
-) -> list[str] | None:
-    """The lexicographically least shortest word of at most `longest`
-    letters for the graph with neighbour masks `adj` (node i named
-    letters[i]), or None if it has none; raises if `longest` leaves that
-    open. See decide_membership for the cuts.
+def _copy_rule(class_kind: str, k: int) -> tuple[int, int | None]:
+    """(maxc, local_k) of a class: at most maxc copies of each letter, and
+    for class "L" the locality k, None for class "R"."""
+    _check_k(k)
+    if class_kind not in ("L", "R"):
+        raise ValueError(f'class_kind must be "L" or "R", got {class_kind!r}')
+    return (k, None) if class_kind == "R" else (k + 1, k)
 
-    `subgraph_refuted()` tells whether some G - v is a conclusive
-    non-member; it is asked only once the shortest length holds no word
-    and longer lengths remain.
+
+def _speed_layers(
+    class_kind: str, k: int, n: int, *, node_budget: int, max_len: int | None
+) -> Iterator[list[tuple[_GraphClass, str | None]]]:
+    """The `wg speed` sweep: each isomorphism class on m nodes with a word
+    for it, or None for a non-member, one list per decided size m, smallest
+    first; the last list is always m = n. A word is on the class's
+    canonical labeling, letter chr(i) standing for node i (node "i + 1" of
+    the class's graph), and need not be the least one. The 0-node class's
+    word is "", so read an answer as `word is not None`.
+
+    L_k and R_k are hereditary, so a class with a refuted parent (one of
+    its G - v, see `graphs._GraphClass`) is a non-member and no search runs
+    for it. Every other class is first settled by extension: the word kept
+    for a parent, renamed into the class's labeling by the tower's
+    embedding (its byte i is where node i of the parent sits, so
+    `str.translate` maps chr(i) there), with copies of the deleted vertex v
+    inserted (`_extend_word`); parents are tried in order of code. Only when
+    no parent's word extends is the class searched for any word of 2m -
+    omega to `longest` letters, in one window of `_search_exact_length`, on
+    the tower's canonical masks and automorphism generators, so every "no"
+    is as exhaustive as `decide_membership`'s. A count needs no least word,
+    so the lengths are not refuted one at a time: the window visits each
+    prefix once, and for class L a completed prefix that is not k-local is
+    not extended. The lex-leader cut holds in any window, since the words
+    of lengths lo..hi are closed under automorphisms.
+
+    The words of one size are kept until the next is swept. A refuted
+    parent settles its children only when its "no" is conclusive, so a
+    size m < n is swept only when its complete bound maxc * m fits within
+    max_len; the n-node classes then answer, and raise, as a per-class loop
+    of `decide_membership` would. n and node_budget are checked before k
+    and the class: `_graph_classes` checks them before it yields the 0-node
+    layer.
     """
-    m = len(adj)
-    nonedges = _nonedge_count(adj)
-    shortest = 2 * m - _clique_number(adj)
-    lower, higher = _lex_leader_masks(m, _twins(adj), [])
-    for length in range(shortest, longest + 1):
-        if length == shortest + 1:
-            lower, higher = _lex_leader_masks(m, [], _canonical_form(adj)[3])
-        witness = _search_exact_length(letters, adj, maxc, length, length, local_k, nonedges, lower, higher)
-        if witness is not None:
-            return witness
-        if length == shortest < maxc * m and subgraph_refuted():
-            return None
-    _check_conclusive(longest, maxc * m)
-    return None
-
-
-def _any_word(
-    letters: list[str],
-    adj: Sequence[int],
-    maxc: int,
-    local_k: int | None,
-    longest: int,
-    symmetries: Sequence[Sequence[int]],
-) -> list[str] | None:
-    """Some word of at most `longest` letters for the graph with neighbour
-    masks `adj`, or None if it has none; raises if `longest` leaves that
-    open. `symmetries` are automorphism generators, as permutations. The
-    `wg speed` sweep calls it for the classes whose G - v words do not
-    extend (`_extend_word`), which are all its "no"s and a few "yes"es.
-
-    Unlike `_settle` this need not be the least shortest word, so the
-    lengths need not be refuted one at a time. Class "R" searches all of
-    them in one window, from 2m - omega on, which visits each prefix once.
-    Class "L" searches the shortest length alone first, where a k-local
-    word is usually found at once, and then one window over the longer
-    ones: one window from the shortest length on completes many more
-    prefixes that fail `is_k_local` (183 leaf checks against 52 in the
-    L,2 sweep to 5 nodes). The lex-leader cut holds in any window, since
-    the words of lengths lo..hi are closed under automorphisms.
-    """
-    m = len(adj)
-    nonedges = _nonedge_count(adj)
-    shortest = 2 * m - _clique_number(adj)
-    lower, higher = _lex_leader_masks(m, [], symmetries)
-    windows = [(shortest, longest)] if local_k is None else [(shortest, shortest), (shortest + 1, longest)]
-    for lo, hi in windows:
-        if lo <= hi <= longest:
-            word = _search_exact_length(letters, adj, maxc, lo, hi, local_k, nonedges, lower, higher)
+    # the members of the size swept last, m - 1, by code, with their words;
+    # None when that size was not swept
+    words: dict[int, str] | None = None
+    for m, layer in enumerate(_graph_classes(n, node_budget=node_budget)):
+        if not m:
+            maxc, local_k = _copy_rule(class_kind, k)
+        complete = maxc * m
+        longest = complete if max_len is None else min(complete, max_len)
+        if m < n and longest < complete:
+            # A "no" here would not be conclusive. The sizes kept are the
+            # ones whose G - v "no" decide_membership trusts, so the store
+            # answers size n as a per-class loop of it would. The two could
+            # differ only on a class with a refuted parent whose shortest
+            # length 2n - omega exceeds the cap, where the per-class search
+            # raises and the store says no; that needs maxc * (n - 1) <=
+            # max_len < 2n - omega. For maxc >= 2 it forces omega <= 1, the
+            # edgeless graph, whose parent is a member. For maxc = 1, K_n
+            # (parent K_(n-1), a member) exceeds the cap too, so both raise,
+            # and the budget message names no class.
+            words = None
+            continue
+        letters = [chr(i) for i in range(m)]
+        answers = []
+        kept = {}
+        for cls in layer:
+            word = None
+            if words is None or all(p in words for p, _ in cls.parents):
+                for code, embedding in cls.parents if words else ():
+                    v = embedding[-1]
+                    word = _extend_word(words[code].translate(embedding), v, cls.masks[v], maxc, local_k, longest)
+                    if word is not None:
+                        break
+                else:
+                    shortest = 2 * m - _clique_number(cls.masks)
+                    found = None
+                    if shortest <= longest:
+                        lower, higher = _lex_leader_masks(m, [], cls.generators)
+                        nonedges = _nonedge_count(cls.masks)
+                        found = _search_exact_length(
+                            letters, cls.masks, maxc, shortest, longest, local_k, nonedges, lower, higher
+                        )
+                    if found is None:
+                        _check_conclusive(longest, complete)
+                    else:
+                        word = "".join(found)
             if word is not None:
-                return word
-    _check_conclusive(longest, maxc * m)
-    return None
+                kept[cls.code] = word
+            answers.append((cls, word))
+        words = kept
+        yield answers
 
 
 def _extend_word(

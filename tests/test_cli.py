@@ -18,7 +18,7 @@ from wordgraphs import (
 import wordgraphs.cli as cli
 import wordgraphs.graphs as graphs
 import wordgraphs.representability as representability
-from wordgraphs.cli import _speed_layers, main
+from wordgraphs.cli import main
 from wordgraphs.errors import BudgetExceededError
 from wordgraphs.graphs import (
     Graph,
@@ -32,7 +32,7 @@ from wordgraphs.graphs import (
     is_threshold,
 )
 from wordgraphs.locality import is_k_local
-from wordgraphs.representability import MembershipQuery, decide_membership
+from wordgraphs.representability import MembershipQuery, _speed_layers, decide_membership
 from wordgraphs.words import graph_of_word
 
 from test_graphs import class_graph
@@ -598,7 +598,7 @@ def _node_names(word):
 
 @pytest.mark.parametrize(
     "kind, k, n",
-    [(kind, k, 5) for kind, k in SPEED_CLASSES + [("R", 3), ("L", 3)]] + [("L", 2, 6), ("R", 3, 6)],
+    [(kind, k, 5) for kind, k in SPEED_CLASSES + [("R", 3), ("L", 3)]] + [("L", 2, 6), ("R", 3, 6), ("L", 3, 6)],
 )
 def test_speed_sweep_words_certify_every_member(kind, k, n):
     # the word the sweep yields with every "yes", from extension or from
@@ -710,7 +710,7 @@ def _relabeled_count(mask_sets, n):
 R2_COUNTS = [1, 1, 2, 8, 64, 1024, 32636, 1954100]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
 def test_speed_r2_is_the_circle_graphs(n):
     # Halldorsson, Kitaev and Pyatkin, "Alternation graphs" (WG 2011): a
     # word with at most two copies per letter stays a word for its graph
@@ -718,7 +718,8 @@ def test_speed_r2_is_the_circle_graphs(n):
     # alternation graphs of double-occurrence words, the circle graphs
     chord_graphs = _chord_graphs(n)
     *_, last = _speed_layers("R", 2, n, node_budget=n, max_len=None)
-    members = {cls.code: cls.labeled for cls, member in last if member}
+    # the 0-node class's word is "", so a member is a word that is not None
+    members = {cls.code: cls.labeled for cls, word in last if word is not None}
     assert {_canonical_form(list(masks))[0] for masks in chord_graphs} == set(members)
     assert sum(members.values()) == R2_COUNTS[n]
     if n <= 5:
@@ -746,15 +747,15 @@ def test_r2_minimal_non_members_from_the_chord_image(n):
 
 @pytest.mark.parametrize(
     "kind, k, count, searches, leaf_checks",
-    [("L", 1, 332, 7, 59), ("R", 2, 1024, 1, 0), ("L", 2, 1024, 1, 52)],
+    [("L", 1, 332, 4, 50), ("R", 2, 1024, 1, 0), ("L", 2, 1024, 1, 52)],
 )
 def test_speed_sweep_search_counts_are_pinned(monkeypatch, kind, k, count, searches, leaf_checks):
     # machine-independent: one uncapped 5-node sweep, class tower included
     # and grown from a cold store; the search reads the tower's masks, so
     # it builds none from a Graph. A class whose G - v are all members is
     # searched only when no parent's word extends, so the searches are the
-    # 0-node class and, for L,1, the refutations of 2K2, C4 and P4 (two
-    # windows each); the leaf checks include the extensions' is_k_local
+    # 0-node class and, for L,1, the refutations of 2K2, C4 and P4 (one
+    # window each); the leaf checks include the extensions' is_k_local
     monkeypatch.setattr(graphs, "_CLASS_TOWER", graphs._CLASS_TOWER[:1])
     calls = {"_search_exact_length": 0, "is_k_local": 0, "_canonical_form": 0, "_neighbour_masks": 0}
 
@@ -776,7 +777,7 @@ def test_speed_sweep_search_counts_are_pinned(monkeypatch, kind, k, count, searc
         for name in calls:
             calls[name] = 0
         *_, last = _speed_layers(kind, k, 5, node_budget=5, max_len=None)
-        assert sum(cls.labeled for cls, member in last if member) == count
+        assert sum(cls.labeled for cls, word in last if word is not None) == count
         assert calls == {
             "_search_exact_length": searches,
             "is_k_local": leaf_checks,
@@ -796,13 +797,15 @@ def test_speed_rejects_k_below_one(capsys, kind, k):
 
 def test_speed_six_nodes_need_a_budget(capsys, monkeypatch):
     # first on a cold class tower, then with 7 nodes stored, which the
-    # budget does not consult; monkeypatch puts the process's store back
+    # budget does not consult; monkeypatch puts the process's store back.
+    # n and the node budget are checked before k, so k = 0 changes nothing
     monkeypatch.setattr(graphs, "_CLASS_TOWER", graphs._CLASS_TOWER[:1])
     for _ in range(2):
-        code, out, err = run(capsys, "speed", "--class", "L", "--k", "1", "--n", "6")
-        assert (code, out, err) == (3, "", "error: 6 nodes exceeds the enumeration budget 5\n")
-        code, out, err = run(capsys, "speed", "--class", "L", "--k", "1", "--n", "-1")
-        assert (code, out, err) == (2, "", "error: need n >= 0, got -1\n")
+        for k in ("1", "0"):
+            code, out, err = run(capsys, "speed", "--class", "L", "--k", k, "--n", "6")
+            assert (code, out, err) == (3, "", "error: 6 nodes exceeds the enumeration budget 5\n")
+            code, out, err = run(capsys, "speed", "--class", "L", "--k", k, "--n", "-1")
+            assert (code, out, err) == (2, "", "error: need n >= 0, got -1\n")
         list(_graph_classes(7, node_budget=7))
 
 
@@ -812,6 +815,8 @@ def test_speed_six_nodes_need_a_budget(capsys, monkeypatch):
         ("L", 1, 6, 2874),  # OEIS A005840
         ("R", 2, 6, 32636),
         ("L", 2, 6, 32696),
+        # L_2 within L_3, and W5 (72 labeled graphs) in neither: 32,768 - 72
+        ("L", 3, 6, 32696),
         ("R", 3, 6, 32696),
         ("L", 1, 7, 29024),  # OEIS A005840
         pytest.param("R", 2, 7, 1954100, marks=pytest.mark.slow),
