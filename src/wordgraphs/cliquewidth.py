@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from typing import Any, NamedTuple, Sequence, Union as TypeUnion
+from typing import Any, Sequence, Union as TypeUnion
 
 from .graphs import Graph, _neighbour_masks
 from .locality import TWO, Label, _check_k, _marking_stages, _occupancy_label, label_sort_key
@@ -183,7 +183,14 @@ def eval_expression(expr: CwdExpression) -> LabeledGraph:
 
 
 def labels_used(expr: CwdExpression) -> frozenset:
-    return frozenset(l for node in _postorder(expr) for l in _parts(node)[1])
+    """Every label expr mentions: in a create, a connect or either side of a rename."""
+    found: list = []
+    stack = [expr]
+    while stack:
+        _, labels, _, children = _parts(stack.pop())
+        found += labels
+        stack += children
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +216,7 @@ def _label_text(label: Any) -> str:
         and label
         and all(isinstance(b, int) and b in (0, 1) for b in label)
     ):
-        return "(" + " ".join(str(b) for b in label) + ")"
+        return "(" + " ".join(str(int(b)) for b in label) + ")"
     raise ValueError(f"label {label!r} does not serialize: need a 0/1 tuple or TWO")
 
 
@@ -218,7 +225,14 @@ def _quote(s: str) -> str:
 
 
 def serialize(expr: CwdExpression) -> str:
+    """The one-line text of expr; `parse` reads it back to an equal expression.
+
+    Each distinct label is checked and formatted once per call. The memo
+    key carries the types of a tuple's bits, since 1.0 == 1 and True == 1
+    but only the ints and bools are bits.
+    """
     out: list[str] = []
+    label_texts: dict[Any, str] = {TWO: "two"}
     stack: list[CwdExpression | str] = [expr]  # nodes still to write and closing text
     while stack:
         item = stack.pop()
@@ -226,22 +240,28 @@ def serialize(expr: CwdExpression) -> str:
             out.append(item)
             continue
         head, labels, ids, children = _parts(item)
-        out.append(" ".join(["(" + head, *map(_label_text, labels), *map(_quote, ids)]))
+        words = ["(" + head]
+        for label in labels:
+            key = (label, *map(type, label)) if isinstance(label, tuple) else label
+            try:
+                text = label_texts.get(key)
+            except TypeError:  # unhashable, so no 0/1 tuple: _label_text raises
+                text = None
+            if text is None:
+                text = label_texts[key] = _label_text(label)
+            words.append(text)
+        words += map(_quote, ids)
+        out.append(" ".join(words))
         stack.append(")")
         for child in reversed(children):
             stack += (child, " ")
     return "".join(out)
 
 
-class _Token(NamedTuple):
-    kind: str  # "(", ")", "atom", "string"
-    text: str
-    offset: int
-
-
-# Some alternative matches at every offset. A string whose longest valid
-# prefix stops short of its closing quote leaves the third group empty.
-_TOKENS = re.compile(r'\s+|([()])|"((?:[^"\\\n]|\\["\\n])*)("?)|([^\s()"]+)')
+# Whitespace goes with the token after it, so every match but the empty one
+# at the end holds one token. A string whose longest valid prefix stops
+# short of its closing quote leaves the third group empty.
+_TOKENS = re.compile(r'\s*(?:([()])|"((?:[^"\\\n]|\\["\\n])*)("?)|([^\s()"]+)|\Z)')
 _ESCAPE = re.compile(r"\\(.)")
 
 
@@ -253,21 +273,29 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Kinds ("(", ")", "atom", "string"), texts and start offsets of the tokens."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    offsets: list[int] = []
     for m in _TOKENS.finditer(text):
         paren, body, closed, atom = m.groups()
-        if paren or atom:
-            tokens.append(_Token(paren or "atom", paren or atom, m.start()))
+        token = paren or atom
+        if token:
+            kinds.append(paren or "atom")
+            texts.append(token)
+            offsets.append(m.end() - len(token))
         elif closed:
-            tokens.append(_Token("string", _ESCAPE.sub(_unescape, body), m.start()))
+            kinds.append("string")
+            texts.append(_ESCAPE.sub(_unescape, body) if "\\" in body else body)
+            offsets.append(m.start(2) - 1)
         elif body is not None:
-            stop = m.end()
+            start, stop = m.start(2) - 1, m.end()
             if stop == len(text):
-                raise ParseError("unterminated string", *_position(text, m.start()))
+                raise ParseError("unterminated string", *_position(text, start))
             message = "bad escape in string" if text[stop] == "\\" else "newline inside string"
             raise ParseError(message, *_position(text, stop))
-    return tokens
+    return kinds, texts, offsets
 
 
 # head -> (class, labels, node ids, children), counted in field order
@@ -277,83 +305,90 @@ _FORMS = {
     "connect": (Connect, 2, 0, 1),
     "rename": (Rename, 2, 0, 1),
 }
+_BITS = {"0": 0, "1": 1}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def at(self, token: _Token, message: str) -> ParseError:
-        return ParseError(message, *_position(self.text, token.offset))
-
-    def error(self, message: str) -> ParseError:
-        if self.pos < len(self.tokens):
-            return self.at(self.tokens[self.pos], message)
-        if self.tokens:
-            return self.at(self.tokens[-1], message + " (at end of input)")
-        return ParseError(message + " (empty input)", 1, 1)
-
-    def take(self, kind: str) -> _Token:
-        if self.pos >= len(self.tokens) or self.tokens[self.pos].kind != kind:
-            raise self.error(f"expected {kind!r}")
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def peek_kind(self) -> str | None:
-        if self.pos >= len(self.tokens):
-            return None
-        return self.tokens[self.pos].kind
-
-    def label(self) -> Label:
-        if self.peek_kind() == "atom":
-            t = self.take("atom")
-            if t.text != "two":
-                raise self.at(t, f"expected a label, got {t.text!r}")
-            return TWO
-        self.take("(")
-        bits = []
-        while self.peek_kind() == "atom":
-            t = self.take("atom")
-            if t.text not in ("0", "1"):
-                raise self.at(t, f"expected bit 0 or 1, got {t.text!r}")
-            bits.append(int(t.text))
-        self.take(")")
-        if not bits:
-            raise self.error("a tuple label needs at least one bit")
-        return tuple(bits)
-
-    def expr(self) -> CwdExpression:
-        open_forms = []  # (head token, class, fields read so far, field count)
-        while True:
-            self.take("(")
-            head = self.take("atom")
-            if head.text not in _FORMS:
-                raise self.at(head, f"expected create/union/connect/rename, got {head.text!r}")
-            cls, labels, ids, children = _FORMS[head.text]
-            fields = [self.label() for _ in range(labels)]
-            fields += [self.take("string").text for _ in range(ids)]
-            open_forms.append((head, cls, fields, labels + ids + children))
-            while len(open_forms[-1][2]) == open_forms[-1][3]:
-                head, cls, fields, _ = open_forms.pop()
-                try:
-                    node = cls(*fields)
-                except ValueError:  # only Connect checks its fields
-                    raise self.at(head, "connect needs two distinct labels") from None
-                self.take(")")
-                if not open_forms:
-                    return node
-                open_forms[-1][2].append(node)
+def _error(text: str, offsets: list[int], i: int, message: str) -> ParseError:
+    """A ParseError at token i, or at the last token when i is past the end."""
+    if i < len(offsets):
+        return ParseError(message, *_position(text, offsets[i]))
+    if offsets:
+        return ParseError(message + " (at end of input)", *_position(text, offsets[-1]))
+    return ParseError(message + " (empty input)", 1, 1)
 
 
 def parse(text: str) -> CwdExpression:
-    parser = _Parser(text)
-    expr = parser.expr()
-    if parser.pos != len(parser.tokens):
-        raise parser.error("trailing input after expression")
-    return expr
+    """Read one expression. A ParseError names the line and column of the
+    first token that does not fit the grammar.
+
+    One pass over the tokens with a stack of open forms, so any depth reads.
+    """
+    kinds, texts, offsets = _tokenize(text)
+    end = len(kinds)
+    kinds.append("")  # reading one token past the end finds no kind
+    open_forms: list[tuple[int, type, list, int]] = []  # (head token, class, fields, field count)
+    i = 0
+    while True:
+        if kinds[i] != "(":
+            raise _error(text, offsets, i, "expected '('")
+        if kinds[i + 1] != "atom":
+            raise _error(text, offsets, i + 1, "expected 'atom'")
+        head = i + 1
+        form = _FORMS.get(texts[head])
+        if form is None:
+            raise _error(text, offsets, head, f"expected create/union/connect/rename, got {texts[head]!r}")
+        cls, labels, ids, children = form
+        i += 2
+        fields: list = []
+        for _ in range(labels):
+            if kinds[i] == "atom":
+                if texts[i] != "two":
+                    raise _error(text, offsets, i, f"expected a label, got {texts[i]!r}")
+                fields.append(TWO)
+                i += 1
+                continue
+            if kinds[i] != "(":
+                raise _error(text, offsets, i, "expected '('")
+            bits = []
+            i += 1
+            while kinds[i] == "atom":
+                bit = _BITS.get(texts[i])
+                if bit is None:
+                    raise _error(text, offsets, i, f"expected bit 0 or 1, got {texts[i]!r}")
+                bits.append(bit)
+                i += 1
+            if kinds[i] != ")":
+                raise _error(text, offsets, i, "expected ')'")
+            i += 1
+            if not bits:
+                raise _error(text, offsets, i, "a tuple label needs at least one bit")
+            fields.append(tuple(bits))
+        for _ in range(ids):
+            if kinds[i] != "string":
+                raise _error(text, offsets, i, "expected 'string'")
+            fields.append(texts[i])
+            i += 1
+        if children:
+            open_forms.append((head, cls, fields, labels + ids + children))
+            continue
+        node = cls(*fields)
+        while True:
+            if kinds[i] != ")":
+                raise _error(text, offsets, i, "expected ')'")
+            i += 1
+            if not open_forms:
+                if i != end:
+                    raise _error(text, offsets, i, "trailing input after expression")
+                return node
+            head, cls, fields, count = open_forms[-1]
+            fields.append(node)
+            if len(fields) < count:
+                break
+            open_forms.pop()
+            try:
+                node = cls(*fields)
+            except ValueError:  # only Connect checks its fields
+                raise _error(text, offsets, head, "connect needs two distinct labels") from None
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,29 @@ def test_serialize_forms():
     assert serialize(Create((1,), 'q"\\')) == '(create (1) "q\\"\\\\")'
     expr = Union(Create((1,), "a"), Create((0,), "b"))
     assert serialize(expr) == '(union (create (1) "a") (create (0) "b"))'
+    # bool bits are written as the bits they equal, so the text reads back
+    flags = Create((True, False), "a")
+    assert serialize(flags) == '(create (1 0) "a")'
+    assert parse(serialize(flags)) == flags
+
+
+@pytest.mark.parametrize(
+    "expr, bad",
+    [
+        (Union(Create((1, 0), "a"), Create((1.0, 0), "b")), (1.0, 0)),
+        (Union(Create((1.0, 0), "a"), Create((1, 0), "b")), (1.0, 0)),
+        (Rename((0, 1), (True, False), Create((0, 1.0), "a")), (0, 1.0)),
+        (Create([1, 0], "a"), [1, 0]),
+        (Create(([1],), "a"), ([1],)),
+        (Create(1, "a"), 1),
+        (Create((), "a"), ()),
+    ],
+)
+def test_serialize_rejects_every_label_that_is_no_bit_tuple(expr, bad):
+    # 1.0 == 1 and hashes alike, so a label seen once must not vouch for an equal one
+    with pytest.raises(ValueError) as caught:
+        serialize(expr)
+    assert str(caught.value) == f"label {bad!r} does not serialize: need a 0/1 tuple or TWO"
 
 
 def test_parse_round_trip_random_expressions():
@@ -204,6 +227,22 @@ def test_parse_error_positions():
         parse("(connect (1) (1) (create (1) \"x\"))")
     with pytest.raises(ParseError):
         parse("(create () \"x\")")
+    # whitespace before a token moves its column; \r and \t are one column each
+    for text, line, column, message in [
+        ('\n\n\t(frob (1) "a")', 3, 3, "expected create/union/connect/rename, got 'frob'"),
+        ('\r\n\t\r\n  (create (1 2) "a")', 3, 14, "expected bit 0 or 1, got '2'"),
+        ('\t\n (create\r\n (1)  "x', 3, 7, "unterminated string"),
+        ('  (create (1) "a\\q")', 1, 17, "bad escape in string"),
+        ('(create (1) "a")\r\n\t junk', 2, 3, "trailing input after expression"),
+        ('(create (1) "a"\n\t \r\n  ', 1, 13, "expected ')' (at end of input)"),
+        ('\r\n(union (create (0 1) "a") \t\n', 2, 25, "expected '(' (at end of input)"),
+        ('\n \t\r\n', 1, 1, "expected '(' (empty input)"),
+    ]:
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        err = caught.value
+        assert (err.line, err.column) == (line, column)
+        assert str(err) == f"parse error at line {line}, column {column}: {message}"
 
 
 def test_deep_expression_round_trip():

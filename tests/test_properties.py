@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -19,7 +21,8 @@ runs = st.integers(1, 6).flatmap(
 string_words = runs.map(lambda rs: "".join(c * m for c, m in rs))
 token_words = string_words.map(lambda w: tuple({"a": "x1", "b": "yy", "c": "z"}.get(c, c) for c in w))
 
-labels = st.just(TWO) | st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple)
+# bool bits equal the int bits and must be written as 0 and 1
+labels = st.just(TWO) | st.lists(st.integers(0, 1) | st.booleans(), min_size=1, max_size=3).map(tuple)
 node_ids = st.text(max_size=4)
 distinct_pairs = st.tuples(labels, labels).filter(lambda pair: pair[0] != pair[1])
 
@@ -32,6 +35,10 @@ expressions = st.recursive(
     ),
     max_leaves=12,
 )
+
+# the tokens of well-formed text, and runs of the ASCII whitespace that may separate them
+text_tokens = re.compile(r'"(?:[^"\\]|\\.)*"|[()]|[^\s()"]+')
+spacing = st.text(st.sampled_from(" \t\r\n\x0b\x0c"), min_size=1, max_size=4)
 
 grammar_text = st.text(st.sampled_from('()" \\\n\t01twocreateunionconnectrename'), max_size=40)
 grammar_tokens = st.lists(
@@ -68,6 +75,15 @@ def test_a_factor_is_never_more_local_than_its_word(word, data):
 @given(expressions)
 def test_parse_inverts_serialize(expr):
     assert parse(serialize(expr)) == expr
+
+
+@settings(database=None, max_examples=150, deadline=None)
+@given(expressions, st.data())
+def test_parse_reads_any_spacing_between_tokens(expr, data):
+    tokens = text_tokens.findall(serialize(expr))
+    runs = data.draw(st.lists(spacing, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = runs[0] + "".join(token + run for token, run in zip(tokens, runs[1:]))
+    assert parse(text) == expr
 
 
 @settings(database=None, max_examples=300, deadline=None)
