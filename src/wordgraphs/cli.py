@@ -9,35 +9,7 @@ import os
 import sys
 from typing import Any, Sequence
 
-from .cliquewidth import (
-    ParseError,
-    build_expression,
-    eval_expression,
-    labels_used,
-    parse,
-    serialize,
-    _label_text,
-)
 from .errors import BudgetExceededError
-from .graphs import (
-    ENUMERATION_BUDGET_DEFAULT,
-    NODE_BUDGET_DEFAULT,
-    bell_number,
-    clique_partition_graph,
-    complete_graph,
-    crown_graph,
-    cycle_graph,
-    empty_graph,
-    fixture,
-    graph_from_text,
-    is_threshold,
-    is_threshold_by_obstruction,
-    path_graph,
-    to_edge_list_text,
-    to_json_dict,
-    to_json_text,
-    _is_threshold,
-)
 from .locality import (
     LETTER_BUDGET_DEFAULT,
     TWO,
@@ -46,14 +18,6 @@ from .locality import (
     max_block_count,
     simulate_marking,
     _check_k,
-)
-from .representability import (
-    DECIDE_NODE_BUDGET_DEFAULT,
-    MembershipQuery,
-    decide_membership,
-    represent_clique_partition,
-    uniformize,
-    _speed_layers,
 )
 from .words import graph_of_word
 
@@ -147,8 +111,13 @@ def _stage_json(t) -> dict:
 
 # ---------------------------------------------------------------------------
 # handlers
+#
+# A handler imports the graph, search and expression modules it needs in its
+# body, so that a fresh `wg` process loads only what its verb runs.
 
 def _cmd_graph(args) -> int:
+    from .graphs import to_edge_list_text, to_json_dict
+
     g = graph_of_word(_word(args))
     if args.json:
         _print_json(to_json_dict(g))
@@ -212,6 +181,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_uniformize(args) -> int:
+    from .representability import uniformize
+
     word = _word(args)
     sigma = _sigma(args.sigma)
     new_word, new_sigma = uniformize(word, args.k, sigma)
@@ -232,6 +203,9 @@ def _cmd_uniformize(args) -> int:
 
 
 def _cmd_decide(args) -> int:
+    from .graphs import graph_from_text
+    from .representability import DECIDE_NODE_BUDGET_DEFAULT, MembershipQuery, decide_membership
+
     g = graph_from_text(_read_text(args.graph))
     node_budget = _resolve(args.budget_nodes, "WG_BUDGET_NODES", DECIDE_NODE_BUDGET_DEFAULT)
     max_len = _resolve(args.budget_len, "WG_BUDGET_LEN", 0) or None
@@ -261,6 +235,17 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .graphs import (
+        clique_partition_graph,
+        complete_graph,
+        crown_graph,
+        cycle_graph,
+        empty_graph,
+        fixture,
+        path_graph,
+        to_json_text,
+    )
+
     kind = args.kind
     if kind in ("complete", "empty", "path", "cycle", "crown"):
         try:
@@ -284,6 +269,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_cliques(args) -> int:
+    from .graphs import clique_partition_graph
+    from .representability import represent_clique_partition
+
     parts = _parts(args.spec, args.tokens)
     word, sigma = represent_clique_partition(parts)
     m = max_block_count(word, sigma)
@@ -314,6 +302,8 @@ def _cmd_cliques(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    from .graphs import NODE_BUDGET_DEFAULT, graph_from_text, is_threshold, is_threshold_by_obstruction
+
     g = graph_from_text(_read_text(args.graph))
     elim = is_threshold(g)
     node_budget = _resolve(args.budget_nodes, "WG_BUDGET_NODES", NODE_BUDGET_DEFAULT)
@@ -332,9 +322,11 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_cwd_build(args) -> int:
+    from .cliquewidth import _build_expression, serialize
+
     word = _word(args)
     sigma = _sigma(args.sigma)
-    expr = build_expression(word, sigma, args.k)
+    expr, used = _build_expression(word, sigma, args.k)
     if args.json:
         _print_json(
             {
@@ -342,7 +334,7 @@ def _cmd_cwd_build(args) -> int:
                 "sigma": list(sigma),
                 "k": args.k,
                 "expression": serialize(expr),
-                "labels_used": len(labels_used(expr)),
+                "labels_used": len(used),
             }
         )
     else:
@@ -351,6 +343,9 @@ def _cmd_cwd_build(args) -> int:
 
 
 def _cmd_cwd_eval(args) -> int:
+    from .cliquewidth import _label_text, eval_expression, parse
+    from .graphs import to_json_dict
+
     expr = parse(_read_text(args.path))
     out = eval_expression(expr)
     if args.json:
@@ -372,12 +367,14 @@ def _cmd_cwd_eval(args) -> int:
 
 
 def _cmd_cwd_verify(args) -> int:
+    from .cliquewidth import _build_expression, serialize
+
     word = _word(args)
     sigma = _sigma(args.sigma)
     # build_expression raises unless the expression evaluates to the word's
     # graph within the label limit, so a returned expression always matches
-    expr = build_expression(word, sigma, args.k)
-    used = len(labels_used(expr))
+    expr, labels = _build_expression(word, sigma, args.k)
+    used = len(labels)
     limit = 2 ** args.k + 1
     if args.json:
         _print_json(
@@ -401,6 +398,9 @@ def _cmd_speed(args) -> int:
     """Count the labeled n-node graphs in the class: one answer per
     isomorphism class, weighted by its labeled graphs, from the sweep
     `representability._speed_layers`."""
+    from .graphs import ENUMERATION_BUDGET_DEFAULT, _is_threshold, bell_number
+    from .representability import _speed_layers
+
     node_budget = _resolve(args.budget_nodes, "WG_BUDGET_NODES", ENUMERATION_BUDGET_DEFAULT)
     max_len = _resolve(args.budget_len, "WG_BUDGET_LEN", 0) or None
     crosscheck = args.class_kind == "L" and args.k == 1
@@ -564,7 +564,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

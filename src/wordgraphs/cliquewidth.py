@@ -450,6 +450,12 @@ def build_expression(word: Word, sigma: Sequence[str], k: int) -> CwdExpression:
     returning: it must evaluate to the graph of the word with the
     final stage's block labels.
     """
+    return _build_expression(word, sigma, k)[0]
+
+
+def _build_expression(word: Word, sigma: Sequence[str], k: int) -> tuple[CwdExpression, frozenset]:
+    """`build_expression` with the `labels_used` set of its result, which
+    its label check has already collected."""
     _check_k(k)
     if not len(word):
         raise ValueError("the empty word has no expression")
@@ -510,6 +516,7 @@ def build_expression(word: Word, sigma: Sequence[str], k: int) -> CwdExpression:
         raise RuntimeError("internal: expression does not evaluate to the word's graph")
     if outcome.labels != current:
         raise RuntimeError("internal: evaluated labels disagree with the final stage")
-    if len(labels_used(expr)) > 2 ** k + 1:
+    used = labels_used(expr)
+    if len(used) > 2 ** k + 1:
         raise RuntimeError("internal: expression uses more labels than allowed")
-    return expr
+    return expr, used

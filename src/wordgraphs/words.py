@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .graphs import Graph
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 Word = Sequence[str]
 
@@ -106,6 +107,8 @@ def graph_of_word(word: Word) -> Graph:
     letters in its set, one bit test each, where a scan per letter pair
     cost O(|A|^2 n).
     """
+    from .graphs import Graph  # imported here so that `wg locality` never loads graphs
+
     letters = sorted(alphabet(word))
     width, inside = _once_in_every_gap(word, {c: i for i, c in enumerate(letters)})
     edges = list(combinations([c for c, m in zip(letters, inside) if m is None], 2))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -838,9 +839,99 @@ def test_usage_errors_exit_two(capsys):
     assert main(["decide", "--class", "Q", "--graph", "-", "--k", "1"]) == 2
 
 
-def test_help_exits_zero(capsys):
-    assert main(["--help"]) == 0
-    assert main(["cwd", "--help"]) == 0
+TOP_USAGE = """\
+usage: wg [-h]
+          {graph,locality,check,uniformize,decide,gen,cliques,threshold,cwd,speed}
+          ...
+"""
+
+TOP_HELP = TOP_USAGE + """
+graphs represented by words: build, check, and search
+
+positional arguments:
+  {graph,locality,check,uniformize,decide,gen,cliques,threshold,cwd,speed}
+    graph               graph represented by a word
+    locality            exact locality, or block counts under --sigma
+    check               is the word k-local?
+    uniformize          cap occurrence counts of a k-local word at k+1
+    decide              bounded membership search for a graph
+    gen                 emit a generated graph as JSON
+    cliques             2-local word for a union of cliques, with verification
+    threshold           threshold recognition by elimination
+    cwd                 clique-width expressions
+    speed               count class members over all labeled graphs on n nodes
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+CWD_HELP = """\
+usage: wg cwd [-h] {build,eval,verify} ...
+
+positional arguments:
+  {build,eval,verify}
+    build              expression for a word and marking witness
+    eval               evaluate a serialized expression
+    verify             build, evaluate, and compare against the word's graph
+
+options:
+  -h, --help           show this help message and exit
+"""
+
+# verb, sha1 of its --help text, sha1 of its error text with no arguments,
+# and that text's last line; all taken at an 80-column width
+VERB_TEXTS = [
+    ("graph", "56a4d435d6abd4c1d0f469ff52d6906733194d4e", "67b8b7b8e13e4a8b8b3b60f9ec49e7bc5d1395ef",
+     "wg graph: error: the following arguments are required: word"),
+    ("locality", "1e23558d0cd39d53a2450e0f7c2020ba5264eccd", "b03c21b37fc0ff8a7cbcb0d53e2992c6e7d42988",
+     "wg locality: error: the following arguments are required: word"),
+    ("check", "ed06e19e348d3aa86afcee159e811f8c4678b1ff", "ca0383824b49dfcd662d62a4a3ff0d1fe205541f",
+     "wg check: error: the following arguments are required: word, --k"),
+    ("uniformize", "a0fac06afe88520422bd35feb104c019f940e97f", "86280fc7e03c1001dace6b749259ccbf4b994f7a",
+     "wg uniformize: error: the following arguments are required: word, --k, --sigma"),
+    ("decide", "faace948fdd7020dbcd1ac512b57368701c821b6", "fe4da16628fb455c42e2212ed93478f87f8044fc",
+     "wg decide: error: the following arguments are required: --graph, --class, --k"),
+    ("gen", "098cab801904cba31fe06b136fcecf833f7c7fb6", "49637609fbd7018436a8eb255202d1b9673c43c1",
+     "wg gen: error: the following arguments are required: kind, arg"),
+    ("cliques", "77aaded364c6032301253aa2b7344035b1082d20", "02ae0b088fe25e386f4b1574c04ab00159d09c1a",
+     "wg cliques: error: the following arguments are required: spec"),
+    ("threshold", "16d8ccdf990602785e0f7efc65012848a91c2f48", "5f1157603c90940435c7a200b7b13572eeda412e",
+     "wg threshold: error: the following arguments are required: --graph"),
+    ("cwd build", "5a9370b6bc9f22838faf8328cfec1b5e76fd8771", "a71558c66ba015c40ad1d61373d26d8ffef769c6",
+     "wg cwd build: error: the following arguments are required: word, --sigma, --k"),
+    ("cwd eval", "fd69949aed661ed61d1e76d4d7a6df3076f119c4", "d567e839f7effe2f996f1fd74a48374b5f38a896",
+     "wg cwd eval: error: the following arguments are required: path"),
+    ("cwd verify", "f4fe4a4756c57a9a831aca27131b50e8f19dce78", "86b77b7c7af5757753b016e134904a9198210d31",
+     "wg cwd verify: error: the following arguments are required: word, --sigma, --k"),
+    ("speed", "86c8528323c980579e5b3745eb8ea4bad0b547da", "eeab369f800c5c2680757bc2901921bdbe98039e",
+     "wg speed: error: the following arguments are required: --class, --k, --n"),
+]
+
+
+def _sha1(text):
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+def test_help_exits_zero(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "--help") == (0, TOP_HELP, "")
+    assert run(capsys, "cwd", "--help") == (0, CWD_HELP, "")
+    for verb, help_sha1, _, _ in VERB_TEXTS:
+        code, out, err = run(capsys, *verb.split(), "--help")
+        assert (code, _sha1(out), err) == (0, help_sha1, ""), verb
+
+
+def test_usage_error_texts(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "bogus") == (
+        2,
+        "",
+        TOP_USAGE + "wg: error: argument command: invalid choice: 'bogus' (choose from 'graph', "
+        "'locality', 'check', 'uniformize', 'decide', 'gen', 'cliques', 'threshold', 'cwd', 'speed')\n",
+    )
+    for verb, _, error_sha1, last in VERB_TEXTS:
+        code, out, err = run(capsys, *verb.split())
+        assert (code, out, err.splitlines()[-1], _sha1(err)) == (2, "", last, error_sha1), verb
 
 
 def test_internal_error_exits_four(capsys, monkeypatch):

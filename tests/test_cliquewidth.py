@@ -28,6 +28,7 @@ from wordgraphs import (
     serialize,
     simulate_marking,
 )
+from wordgraphs.cliquewidth import _build_expression
 from wordgraphs.graphs import Graph
 
 
@@ -374,6 +375,8 @@ def test_build_expression_matches_stage_labels():
         final = block_labels(simulate_marking(word, sigma)[-1], k)
         assert out.labels == final
         assert len(labels_used(expr)) <= 2 ** k + 1
+        # the CLI takes the label set from the builder's own check
+        assert _build_expression(word, sigma, k) == (expr, labels_used(expr))
 
 
 def _planted_token_word(rng, letters, length, k):

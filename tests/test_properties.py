@@ -71,6 +71,51 @@ def test_a_factor_is_never_more_local_than_its_word(word, data):
     assert locality(word[i:j])[0] <= locality(word)[0]
 
 
+# (k, word): a word with one to k copies of each of up to six letters
+capped_words = st.integers(1, 4).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.integers(1, k), min_size=1, max_size=6)
+        .map(lambda counts: [c for c, m in zip("abcdef", counts) for _ in range(m)])
+        .flatmap(st.permutations)
+        .map("".join),
+    )
+)
+
+
+def _uniformize_by_prepending(word, k):
+    """Prepend the letters of least count, in order of first occurrence,
+    until each letter has k copies; yields every word on the way."""
+    while True:
+        yield word
+        counts = {c: word.count(c) for c in word}
+        least = min(counts.values())
+        if least == k:
+            return
+        word = "".join(c for c in dict.fromkeys(word) if counts[c] == least) + word
+
+
+@settings(database=None, max_examples=300, deadline=None)
+@given(capped_words)
+def test_prepending_least_count_letters_keeps_the_graph(case):
+    # class R may search only words with exactly k copies of each letter
+    k, word = case
+    target = graph_of_word(word)
+    for step in _uniformize_by_prepending(word, k):
+        assert graph_of_word(step) == target, step
+
+
+@settings(database=None, max_examples=300, deadline=None)
+@given(capped_words)
+def test_every_rotation_of_a_uniform_word_keeps_the_graph(case):
+    # so a uniform word representing G may start with any letter
+    k, word = case
+    *_, uniform = _uniformize_by_prepending(word, k)
+    target = graph_of_word(uniform)
+    for i in range(1, len(uniform)):
+        assert graph_of_word(uniform[i:] + uniform[:i]) == target, i
+
+
 @settings(database=None, max_examples=150, deadline=None)
 @given(expressions)
 def test_parse_inverts_serialize(expr):
