@@ -6,7 +6,6 @@ from .locality import (
     TWO,
     Label,
     MarkingSequence,
-    StageTrace,
     block_labels,
     is_k_local,
     is_k_local_with,
@@ -18,12 +17,15 @@ from .locality import (
 from .words import alphabet, alternates, graph_of_word, make_word, occurrences, project
 
 # The names of the graph, search and expression modules load with their
-# module on first use, so that `wg locality` never imports those modules.
-# `locality` stays an eager import: the package attribute is the function,
-# and importing the submodule later would rebind it to the module.
+# module on first use, and `StageTrace` is declared on first use
+# (`locality._stage_trace`), so that `wg locality` imports neither those
+# modules nor `dataclasses`. `locality` stays an eager import: the package
+# attribute is the function, and importing the submodule later would
+# rebind it to the module.
 _LAZY = {
     name: module
     for module, names in (
+        ("locality", ("StageTrace",)),
         (
             "cliquewidth",
             (

@@ -7,7 +7,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Sequence
+from collections.abc import Sequence
 
 from .errors import BudgetExceededError
 from .locality import (
@@ -20,6 +20,10 @@ from .locality import (
     _check_k,
 )
 from .words import graph_of_word
+
+TYPE_CHECKING = False  # type checkers read True; `typing` stays off the `wg locality` path
+if TYPE_CHECKING:
+    from typing import Any
 
 
 def _env_budget(name: str, fallback: int) -> int:

@@ -8,9 +8,8 @@ produces more than k blocks, and its locality is the least such k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import accumulate
-from typing import Sequence
 
 from .errors import BudgetExceededError
 from .words import Word, alphabet
@@ -45,23 +44,50 @@ def label_sort_key(label: Label) -> tuple:
     return (0, tuple(label))
 
 
-@dataclass(frozen=True)
-class StageTrace:
-    """Block structure after one marking stage.
+def _stage_trace() -> type:
+    """The StageTrace type, declared on first use.
 
-    blocks holds 1-based inclusive position spans. profile maps every
-    letter of the alphabet to its per-block occurrence counts; letters not
-    yet marked are all-zero. origins lists, per block, the indices of the
-    previous stage's blocks it swallowed (empty for a brand-new block).
+    Declaring a dataclass imports `dataclasses` and with it `inspect`, the
+    largest import a cold `wg locality` or `wg check --k` would make. The
+    class is made once and bound as the module attribute, under its own
+    name and module, so its repr and pickles read as a module-level class's.
     """
+    declared = globals().get("StageTrace")
+    if declared is not None:
+        return declared
+    from dataclasses import dataclass
 
-    stage_index: int
-    letter: str
-    blocks: tuple[tuple[int, int], ...]
-    block_count: int
-    marked: frozenset[str]
-    profile: dict[str, tuple[int, ...]]
-    origins: tuple[tuple[int, ...], ...]
+    class StageTrace:
+        """Block structure after one marking stage.
+
+        blocks holds 1-based inclusive position spans. profile maps every
+        letter of the alphabet to its per-block occurrence counts; letters not
+        yet marked are all-zero. origins lists, per block, the indices of the
+        previous stage's blocks it swallowed (empty for a brand-new block).
+
+        The type is declared on first use, by `simulate_marking` or by
+        reading the name, so that the verbs that build no trace never load
+        `dataclasses`; `typing.get_type_hints` resolves the name from then on.
+        """
+
+        stage_index: int
+        letter: str
+        blocks: tuple[tuple[int, int], ...]
+        block_count: int
+        marked: frozenset[str]
+        profile: dict[str, tuple[int, ...]]
+        origins: tuple[tuple[int, ...], ...]
+
+    # set before the decorator, which names the methods after the class
+    StageTrace.__qualname__ = "StageTrace"
+    # two threads may race here; setdefault keeps the first type for both
+    return globals().setdefault("StageTrace", dataclass(frozen=True)(StageTrace))
+
+
+def __getattr__(name: str):
+    if name == "StageTrace":
+        return _stage_trace()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_sequence(word: Word, sigma: Sequence[str]) -> MarkingSequence:
@@ -83,10 +109,12 @@ def simulate_marking(word: Word, sigma: Sequence[str]) -> list[StageTrace]:
     block count) for n positions. The marked letters are kept grouped by
     profile row, and a row's next value is summed along the origins once
     per group; the profile still lists every letter, so each stage also
-    copies O(|A|) entries.
+    copies O(|A|) entries. The first call declares the StageTrace type,
+    unless reading the name did so before (see `_stage_trace`).
     """
     letters = sorted(alphabet(word))
     stages = _marking_stages(word, sigma)
+    trace = _stage_trace()
     sig = tuple(c for c, _, _, _ in stages)
     traces: list[StageTrace] = []
     rows: dict[tuple[int, ...], list[str]] = {}  # profile row -> marked letters
@@ -101,7 +129,7 @@ def simulate_marking(word: Word, sigma: Sequence[str]) -> list[StageTrace]:
         for row, holders in rows.items():
             profile.update(dict.fromkeys(holders, row))
         traces.append(
-            StageTrace(
+            trace(
                 stage_index=i,
                 letter=c,
                 blocks=blocks,

@@ -9,9 +9,10 @@ i.e. their two-letter projection never repeats a letter.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Sequence
 
+TYPE_CHECKING = False  # type checkers read True; `typing` stays off the `wg locality` path
 if TYPE_CHECKING:
     from .graphs import Graph
 

@@ -879,7 +879,10 @@ options:
 """
 
 # verb, sha1 of its --help text, sha1 of its error text with no arguments,
-# and that text's last line; all taken at an 80-column width
+# and that text's last line; all taken at an 80-column width. All 24 match
+# on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0; on 3.13.0 only TOP_USAGE
+# differs (in `wg --help` and the `wg bogus` error), which puts the final
+# "..." on the choices line.
 VERB_TEXTS = [
     ("graph", "56a4d435d6abd4c1d0f469ff52d6906733194d4e", "67b8b7b8e13e4a8b8b3b60f9ec49e7bc5d1395ef",
      "wg graph: error: the following arguments are required: word"),

@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: the package imports its search and
-expression modules on first use, and each `wg` verb loads only what it runs."""
+expression modules on first use, each `wg` verb loads only what it runs,
+and only the verbs that build stage traces load `dataclasses`."""
 
 from __future__ import annotations
 
@@ -57,11 +58,15 @@ print(json.dumps({
 """
 
 
-def _fresh(code: str, *args: str):
+def _fresh(code: str, *args: str, flags: tuple[str, ...] = ()):
     path = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *flags, "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -111,3 +116,92 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path, argv, added):
     assert code == 0
     assert before == EAGER
     assert after == [f"wordgraphs.{m}" for m in added]
+
+
+# runs main(argv) for argv given as JSON; prints its exit code, its output,
+# and which of the heavy standard modules are loaded afterwards
+HEAVY = """
+import io, json, sys
+from wordgraphs.cli import main
+stdout, sys.stdout = sys.stdout, io.StringIO()
+code = main(json.loads(sys.argv[1]))
+text, sys.stdout = sys.stdout.getvalue(), stdout
+print(json.dumps([code, text, sorted({"dataclasses", "inspect", "typing"} & set(sys.modules))]))
+"""
+
+
+@pytest.mark.parametrize("site", [True, False], ids=["site", "no-site"])
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["locality", "abcab", "--json"], '{"locality": 2, "witness": ["a", "b", "c"], "word": "abcab"}\n'),
+        (["locality", "abcab", "--sigma", "b,a,c"], "2 (sigma: b,a,c)\n"),
+        (["check", "abcab", "--k", "2"], "2-local: yes\n"),
+    ],
+    ids=["locality", "locality-sigma", "check-k"],
+)
+def test_locality_and_check_load_no_dataclasses(argv, text, site):
+    # with site, a site-packages hook may import typing before the package does
+    code, out, heavy = _fresh(HEAVY, json.dumps(argv), flags=() if site else ("-S",))
+    assert (code, out) == (0, text)
+    assert [m for m in heavy if site and m == "typing"] == heavy
+
+
+def test_check_with_sigma_declares_stage_trace():
+    argv = ["check", "abcab", "--k", "2", "--sigma", "b,a,c"]
+    code, out, heavy = _fresh(HEAVY, json.dumps(argv), flags=("-S",))
+    assert (code, out) == (
+        0,
+        "stage 1: mark 'b' -> 2 block(s): [2..2][5..5]\n"
+        "stage 2: mark 'a' -> 2 block(s): [1..2][4..5]\n"
+        "stage 3: mark 'c' -> 1 block(s): [1..5]\n"
+        "2-local: yes (max block count 2)\n",
+    )
+    assert heavy == ["dataclasses", "inspect"]
+
+
+# declares StageTrace through one of its entry points, then reads it through
+# the others; unpickling a trace made elsewhere is one of those entry points
+STAGE_TRACE = """
+import json, pickle, sys, typing
+import wordgraphs
+loc = sys.modules["wordgraphs.locality"]  # the package attribute is the function
+first = sys.argv[1]
+before = "StageTrace" in vars(loc)
+if first == "unpickle":
+    got = type(pickle.loads(bytes.fromhex(sys.argv[2])))
+elif first == "package":
+    got = wordgraphs.StageTrace
+elif first == "module":
+    from wordgraphs.locality import StageTrace as got
+elif first == "threads":
+    import threading
+    sys.setswitchinterval(1e-6)
+    start, seen = threading.Barrier(8), []
+    def declare():
+        start.wait()
+        seen.append(type(loc.simulate_marking("abcab", "bac")[0]))
+    workers = [threading.Thread(target=declare) for _ in range(8)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=30)
+    assert not any(w.is_alive() for w in workers) and len(seen) == 8
+    got = seen[0] if len(set(seen)) == 1 else None
+else:
+    got = type(loc.simulate_marking("abcab", "bac")[0])
+from wordgraphs.locality import StageTrace
+same = got is StageTrace is wordgraphs.StageTrace is type(loc.simulate_marking("ab", "ab")[0])
+hints = typing.get_type_hints(loc.simulate_marking)["return"] == list[StageTrace]
+print(json.dumps([before, same, hints, StageTrace.__module__, StageTrace.__qualname__]))
+"""
+
+
+@pytest.mark.parametrize("first", ["simulate", "package", "module", "unpickle", "threads"])
+def test_stage_trace_is_one_type_whichever_use_declares_it(first):
+    import pickle
+
+    from wordgraphs import simulate_marking
+
+    blob = pickle.dumps(simulate_marking("abcab", "bac")[0]).hex()
+    assert _fresh(STAGE_TRACE, first, blob) == [False, True, True, "wordgraphs.locality", "StageTrace"]

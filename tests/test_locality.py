@@ -154,6 +154,49 @@ def test_simulate_marking_rejects_non_permutations():
         simulate_marking("ab", ("a", "b", "c"))
 
 
+def test_stage_trace_is_the_public_frozen_dataclass():
+    # declared on first use, the type is still the module-level frozen
+    # dataclass it was: same fields, repr, equality, pickles and hints
+    import copy
+    import dataclasses
+    import pickle
+    import typing
+    from collections.abc import Sequence
+
+    import wordgraphs
+    from wordgraphs.locality import StageTrace
+
+    trace = simulate_marking("banana", ("n", "a", "b"))[0]
+    assert type(trace) is StageTrace is wordgraphs.StageTrace
+    assert (StageTrace.__module__, StageTrace.__qualname__) == ("wordgraphs.locality", "StageTrace")
+    assert StageTrace.__init__.__qualname__ == "StageTrace.__init__"
+    assert dataclasses.is_dataclass(StageTrace)
+    assert StageTrace.__dataclass_params__.frozen
+    assert [f.name for f in dataclasses.fields(StageTrace)] == [
+        "stage_index", "letter", "blocks", "block_count", "marked", "profile", "origins",
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.letter = "a"
+    assert repr(trace) == (
+        "StageTrace(stage_index=1, letter='n', blocks=((3, 3), (5, 5)), block_count=2, "
+        "marked=frozenset({'n'}), profile={'a': (0, 0), 'b': (0, 0), 'n': (1, 1)}, "
+        "origins=((), ()))"
+    )
+    again = simulate_marking("banana", ("n", "a", "b"))[0]
+    assert trace == again and trace is not again
+    assert trace != simulate_marking("banana", ("a", "n", "b"))[0]
+    # eq and frozen make the generated field hash, which the dict profile refuses
+    assert StageTrace.__hash__.__qualname__ == "StageTrace.__hash__"
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(trace)
+    for twin in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
+        assert type(twin) is StageTrace and twin == trace and twin is not trace
+    assert b"wordgraphs.locality" in pickle.dumps(trace) and b"StageTrace" in pickle.dumps(trace)
+    assert typing.get_type_hints(simulate_marking) == {
+        "word": Sequence[str], "sigma": Sequence[str], "return": list[StageTrace],
+    }
+
+
 def test_locality_pepper():
     assert locality("pepper") == (2, ("e", "p", "r"))
 
