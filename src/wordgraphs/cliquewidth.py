@@ -14,9 +14,9 @@ import re
 from dataclasses import dataclass, fields
 from typing import Any, Sequence, Union as TypeUnion
 
-from .graphs import Graph, _neighbour_masks
+from .graphs import Graph
 from .locality import TWO, Label, _check_k, _marking_stages, _occupancy_label, label_sort_key
-from .words import Word, graph_of_word
+from .words import Word, _letter_masks
 
 
 class RenameCycleError(RuntimeError):
@@ -227,12 +227,13 @@ def _quote(s: str) -> str:
 def serialize(expr: CwdExpression) -> str:
     """The one-line text of expr; `parse` reads it back to an equal expression.
 
-    Each distinct label is checked and formatted once per call. The memo
-    key carries the types of a tuple's bits, since 1.0 == 1 and True == 1
-    but only the ints and bools are bits.
+    Each label object is checked and formatted once per call, so a value
+    such as (1.0, 0), equal to (1, 0) but not made of bits, still raises.
+    `_build_expression` and `parse` hand out one object per label value,
+    so on their expressions that is once per distinct label.
     """
     out: list[str] = []
-    label_texts: dict[Any, str] = {TWO: "two"}
+    label_texts: dict[int, str] = {}  # id of a label -> its text; expr keeps every label alive
     stack: list[CwdExpression | str] = [expr]  # nodes still to write and closing text
     while stack:
         item = stack.pop()
@@ -242,13 +243,9 @@ def serialize(expr: CwdExpression) -> str:
         head, labels, ids, children = _parts(item)
         words = ["(" + head]
         for label in labels:
-            key = (label, *map(type, label)) if isinstance(label, tuple) else label
-            try:
-                text = label_texts.get(key)
-            except TypeError:  # unhashable, so no 0/1 tuple: _label_text raises
-                text = None
+            text = label_texts.get(id(label))
             if text is None:
-                text = label_texts[key] = _label_text(label)
+                text = label_texts[id(label)] = _label_text(label)
             words.append(text)
         words += map(_quote, ids)
         out.append(" ".join(words))
@@ -327,6 +324,7 @@ def parse(text: str) -> CwdExpression:
     end = len(kinds)
     kinds.append("")  # reading one token past the end finds no kind
     open_forms: list[tuple[int, type, list, int]] = []  # (head token, class, fields, field count)
+    intern = {}.setdefault  # one object per label value, for `serialize`
     i = 0
     while True:
         if kinds[i] != "(":
@@ -362,7 +360,8 @@ def parse(text: str) -> CwdExpression:
             i += 1
             if not bits:
                 raise _error(text, offsets, i, "a tuple label needs at least one bit")
-            fields.append(tuple(bits))
+            label = tuple(bits)
+            fields.append(intern(label, label))
         for _ in range(ids):
             if kinds[i] != "string":
                 raise _error(text, offsets, i, "expected 'string'")
@@ -443,12 +442,13 @@ def build_expression(word: Word, sigma: Sequence[str], k: int) -> CwdExpression:
     every stage: each set must lie inside or outside the new letter's
     neighbourhood, or RuntimeError is raised.
 
-    The stages come from `locality._marking_stages`. A stage costs
-    O(2^k k) label work and 2^k + 1 operations on |A|-bit letter masks,
-    plus the new letter's occurrences; no stage looks at every letter.
-    Add `graph_of_word` and the final check. The result is checked before
-    returning: it must evaluate to the graph of the word with the
-    final stage's block labels.
+    The stages come from `locality._marking_stages`, and the letters'
+    neighbourhoods from `words._letter_masks`. A stage costs O(2^k k)
+    label work and 2^k + 1 operations on |A|-bit letter masks, plus the
+    new letter's occurrences; no stage looks at every letter. The result
+    is checked before returning (`_check_on_masks`): it must evaluate to
+    the graph of the word with the final stage's block labels, within
+    2^k + 1 labels.
     """
     return _build_expression(word, sigma, k)[0]
 
@@ -463,25 +463,25 @@ def _build_expression(word: Word, sigma: Sequence[str], k: int) -> tuple[CwdExpr
     worst = max(len(blocks) for _, blocks, _, _ in stages)
     if worst > k:
         raise ValueError(f"{tuple(sigma)!r} reaches {worst} blocks, more than k={k}")
-    target = graph_of_word(word)
-    letters = target.sorted_nodes()
-    adj = dict(zip(letters, _neighbour_masks(target)))
-    bit = {c: 1 << i for i, c in enumerate(letters)}
+    letters, near = _letter_masks(word)
+    index = {c: i for i, c in enumerate(letters)}
     zero = (0,) * k
+    interned = {zero: zero}  # one object per label value, so `serialize` formats each once
 
     expr: CwdExpression | None = None
     groups: dict[Label, int] = {}  # label -> bitmask of the survivors holding it
     for stage, (a, _, origins, counts) in enumerate(stages, 1):
         piece: CwdExpression = Create(zero, a)
         expr = piece if expr is None else Union(piece, expr)
-        near = adj[a]
+        i = index[a]
+        adj = near[i]
         positions = [j for j, org in enumerate(origins) if org]
         wired: list[Label] = []
         merge_map: dict[Label, Label] = {}
         shift_map: dict[Label, Label] = {}
         moved: dict[Label, int] = {}
         for label, members in groups.items():
-            hit = members & near
+            hit = members & adj
             if hit:
                 if hit != members:
                     raise RuntimeError(
@@ -489,9 +489,10 @@ def _build_expression(word: Word, sigma: Sequence[str], k: int) -> tuple[CwdExpr
                     )
                 wired.append(label)
             shifted = _next_label(label, origins, k)
-            merged = shifted
+            shifted = merged = interned.setdefault(shifted, shifted)
             if shifted is not TWO:
                 merged = tuple(shifted[j] for j in positions) + (0,) * (k - len(positions))
+                merged = interned.setdefault(merged, merged)
             merge_map[label] = merged
             shift_map[merged] = shifted
             moved[shifted] = moved.get(shifted, 0) | members
@@ -501,22 +502,80 @@ def _build_expression(word: Word, sigma: Sequence[str], k: int) -> tuple[CwdExpr
             for old, new in schedule_renames(mapping):
                 expr = Rename(old, new, expr)
         own = _occupancy_label(counts, k)
+        own = interned.setdefault(own, own)
         expr = Rename(zero, own, expr)
-        moved[own] = moved.get(own, 0) | bit[a]
+        moved[own] = moved.get(own, 0) | 1 << i
         groups = moved
     assert expr is not None
 
-    current = {}
-    for label, members in groups.items():
-        for i, flag in enumerate(bin(members)[:1:-1]):
-            if flag == "1":
-                current[letters[i]] = label
-    outcome = eval_expression(expr)
-    if outcome.graph != target:
-        raise RuntimeError("internal: expression does not evaluate to the word's graph")
-    if outcome.labels != current:
-        raise RuntimeError("internal: evaluated labels disagree with the final stage")
+    _check_on_masks(expr, letters, near, groups)
     used = labels_used(expr)
     if len(used) > 2 ** k + 1:
         raise RuntimeError("internal: expression uses more labels than allowed")
     return expr, used
+
+
+def _check_on_masks(
+    expr: CwdExpression, letters: list[str], near: list[int], groups: dict[Label, int]
+) -> None:
+    """Raise RuntimeError unless expr builds the graph whose letter j has
+    the neighbour mask near[j], with the letters of mask groups[label]
+    holding that label; a node created twice raises `eval_expression`'s
+    ValueError.
+
+    The evaluation is bit-parallel over the letters' indices: each subtree
+    keeps the mask of its nodes and of each label's members, and each
+    letter a row of its neighbours. A union ORs the masks, a connect ORs
+    each group's mask into the rows of the other group's members, and a
+    rename ORs the two groups. `eval_expression` stays on sets of names,
+    which its callers need as edge pairs.
+    """
+    index = {c: i for i, c in enumerate(letters)}
+    order, stack = [], [expr]  # the nodes, parents before children
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        cls = node.__class__
+        if cls is Union:
+            stack += (node.left, node.right)
+        elif cls is not Create:
+            stack.append(node.child)
+    rows = [0] * len(letters)
+    done: list[tuple[int, dict[Any, int]]] = []  # per finished subtree: nodes, label groups
+    for node in reversed(order):
+        cls = node.__class__
+        if cls is Create:
+            i = index.get(node.node)
+            if i is None:
+                raise RuntimeError("internal: expression does not evaluate to the word's graph")
+            done.append((1 << i, {node.label: 1 << i}))
+        elif cls is Union:
+            nodes, labels = done.pop()
+            other_nodes, other_labels = done.pop()
+            clash = nodes & other_nodes
+            if clash:
+                names = [c for j, c in enumerate(letters) if clash >> j & 1]
+                raise ValueError(f"node(s) {names!r} created on both sides of a union")
+            if len(labels) < len(other_labels):
+                labels, other_labels = other_labels, labels
+            for label, members in other_labels.items():
+                labels[label] = labels.get(label, 0) | members
+            done.append((nodes | other_nodes, labels))
+        elif cls is Connect:
+            labels = done[-1][1]
+            first, second = labels.get(node.first, 0), labels.get(node.second, 0)
+            if first and second:
+                for members, other in ((first, second), (second, first)):
+                    while members:
+                        low = members & -members
+                        members ^= low
+                        rows[low.bit_length() - 1] |= other
+        else:
+            labels = done[-1][1]
+            if node.old in labels:
+                labels[node.new] = labels.pop(node.old) | labels.get(node.new, 0)
+    nodes, labels = done.pop()
+    if nodes != (1 << len(letters)) - 1 or rows != near:
+        raise RuntimeError("internal: expression does not evaluate to the word's graph")
+    if labels != groups:
+        raise RuntimeError("internal: evaluated labels disagree with the final stage")

@@ -33,7 +33,7 @@ from .locality import (
     is_k_local_with,
     locality,
 )
-from .words import Word, graph_of_word, make_word
+from .words import Word, _letter_masks, make_word
 
 DECIDE_NODE_BUDGET_DEFAULT = 5
 
@@ -61,9 +61,8 @@ def oversized_letters(
             raise ValueError(f"word has locality {found}, not {k}-local")
     counts = Counter(word)
     oversized = frozenset(c for c, m in counts.items() if m > k + 1)
-    target = graph_of_word(word)
-    letters = target.sorted_nodes()
-    for c, near in zip(letters, _neighbour_masks(target)):
+    letters, masks = _letter_masks(word)
+    for c, near in zip(letters, masks):
         if c in oversized and near:
             partners = [d for j, d in enumerate(letters) if near >> j & 1]
             raise RuntimeError(f"internal: oversized letter {c!r} alternates with {partners!r}")
@@ -145,10 +144,10 @@ def decide_membership(
       and every word for G has length at least 2n - omega(G); the lengths
       start there.
     - Both classes are closed under induced subgraphs. When the shortest
-      length holds no word, each G - v is settled by the same rules,
-      recursively and once per vertex subset, and G is a non-member as
-      soon as one of them is. A subgraph's "no" counts only when its own
-      complete length fits within max_len.
+      length holds no word, each G - v is searched for any word up to its
+      complete length, and G is a non-member as soon as one of them has
+      none. A subgraph's "no" counts only when its complete length fits
+      within max_len.
 
     A third cut skips words that only rename one already tried. For an
     automorphism pi of G, pi(w) represents G with the same copy counts,
@@ -159,13 +158,15 @@ def decide_membership(
     larger one. The least word of an orbit is never cut, so the answer and
     the witness stay those of the full search. The shortest length uses
     the twin transpositions (`graphs._twins`); the longer ones, reached
-    only when neither that length nor a G - v settled the graph, use the
-    `graphs._canonical_form` generators.
+    only when neither that length nor a G - v settled the graph, and the
+    G - v searches use the `graphs._canonical_form` generators.
 
-    Each length is one call of the word search `_search_exact_length`,
-    which accepts any length in a window [lo, hi]; here every call has
-    lo = hi, one length at a time in ascending order. `wg speed` runs the
-    same search with one window per class (`_speed_layers`).
+    Each length of G is one call of the word search `_search_exact_length`,
+    which accepts any length in a window [lo, hi], with lo = hi, one length
+    at a time in ascending order. A G - v needs only yes or no, so it is one
+    window from its shortest to its complete length (`_any_word`), as
+    `wg speed` searches a class: each prefix is visited once, not once per
+    length.
 
     The search space is complete for both classes, so within budget the
     negative answer is sound; a graph over budget raises instead of
@@ -184,50 +185,32 @@ def decide_membership(
     complete_len = maxc * n
     max_len = complete_len if query.max_len is None else min(query.max_len, complete_len)
     adj = _neighbour_masks(g)
-    everyone = (1 << n) - 1
-    refuted: dict[int, bool] = {}
 
-    def settle(keep: int, longest: int) -> list[str] | None:
-        """The lexicographically least shortest word of at most `longest`
-        letters for the subgraph induced by the vertex bitmask `keep`, or
-        None if it has none; raises if `longest` leaves that open."""
-        if keep == everyone:
-            sub, sub_letters, sub_adj = range(n), letters, adj
-        else:
-            sub = [i for i in range(n) if keep >> i & 1]
-            sub_letters = [letters[i] for i in sub]
-            sub_adj = [_compress(adj[i] & keep, sub) for i in sub]
-        m = len(sub)
-        nonedges = _nonedge_count(sub_adj)
-        shortest = 2 * m - _clique_number(sub_adj)
-        lower, higher = _lex_leader_masks(m, _twins(sub_adj), [])
-        for length in range(shortest, longest + 1):
-            if length == shortest + 1:
-                lower, higher = _lex_leader_masks(m, [], _canonical_form(sub_adj)[3])
-            witness = _search_exact_length(
-                sub_letters, sub_adj, maxc, length, length, local_k, nonedges, lower, higher
-            )
-            if witness is not None:
-                return witness
-            # G - v pays only when its "no" is conclusive within max_len
-            if (
-                length == shortest < maxc * m
-                and maxc * (m - 1) <= max_len
-                and any(is_refuted(keep & ~(1 << i)) for i in sub)
-            ):
-                return None
-        _check_conclusive(longest, maxc * m)
-        return None
+    def is_refuted(v: int) -> bool:
+        """Whether G - v has no word up to its complete length."""
+        sub = [i for i in range(n) if i != v]
+        sub_adj = [_compress(adj[i], sub) for i in sub]
+        generators = _canonical_form(sub_adj)[3]
+        return _any_word([letters[i] for i in sub], sub_adj, generators, maxc, local_k, maxc * (n - 1)) is None
 
-    def is_refuted(keep: int) -> bool:
-        if keep not in refuted:
-            refuted[keep] = settle(keep, maxc * keep.bit_count()) is None
-        return refuted[keep]
-
-    witness = settle(everyone, max_len)
-    if witness is None:
-        return False, None
-    return True, make_word(witness)
+    nonedges = _nonedge_count(adj)
+    shortest = 2 * n - _clique_number(adj)
+    lower, higher = _lex_leader_masks(n, _twins(adj), [])
+    for length in range(shortest, max_len + 1):
+        if length == shortest + 1:
+            lower, higher = _lex_leader_masks(n, [], _canonical_form(adj)[3])
+        witness = _search_exact_length(letters, adj, maxc, length, length, local_k, nonedges, lower, higher)
+        if witness is not None:
+            return True, make_word(witness)
+        # G - v pays only when its "no" is conclusive within max_len
+        if (
+            length == shortest < complete_len
+            and maxc * (n - 1) <= max_len
+            and any(map(is_refuted, range(n)))
+        ):
+            return False, None
+    _check_conclusive(max_len, complete_len)
+    return False, None
 
 
 def _copy_rule(class_kind: str, k: int) -> tuple[int, int | None]:
@@ -306,14 +289,7 @@ def _speed_layers(
                     if word is not None:
                         break
                 else:
-                    shortest = 2 * m - _clique_number(cls.masks)
-                    found = None
-                    if shortest <= longest:
-                        lower, higher = _lex_leader_masks(m, [], cls.generators)
-                        nonedges = _nonedge_count(cls.masks)
-                        found = _search_exact_length(
-                            letters, cls.masks, maxc, shortest, longest, local_k, nonedges, lower, higher
-                        )
+                    found = _any_word(letters, cls.masks, cls.generators, maxc, local_k, longest)
                     if found is None:
                         _check_conclusive(longest, complete)
                     else:
@@ -323,6 +299,21 @@ def _speed_layers(
             answers.append((cls, word))
         words = kept
         yield answers
+
+
+def _any_word(
+    letters: list[str], adj: Sequence[int], generators: Sequence[Sequence[int]],
+    maxc: int, local_k: int | None, longest: int,
+) -> list[str] | None:
+    """A word of 2m - omega to `longest` letters for the graph on the masks
+    adj, or None if there is none: one window of `_search_exact_length`,
+    cut by the lex-leader masks of the automorphism generators."""
+    m = len(adj)
+    shortest = 2 * m - _clique_number(adj)
+    if shortest > longest:
+        return None
+    lower, higher = _lex_leader_masks(m, [], generators)
+    return _search_exact_length(letters, adj, maxc, shortest, longest, local_k, _nonedge_count(adj), lower, higher)
 
 
 def _extend_word(

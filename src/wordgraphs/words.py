@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from itertools import combinations
 
 TYPE_CHECKING = False  # type checkers read True; `typing` stays off the `wg locality` path
 if TYPE_CHECKING:
@@ -66,59 +65,94 @@ def alternates(word: Word, a: str, b: str) -> bool:
     return _alternation_scan(word, a, b)
 
 
-def _once_in_every_gap(word: Word, index: dict[str, int]) -> tuple[int, list[int | None]]:
-    """Per letter, the letters that occur exactly once in every gap between
-    two consecutive occurrences of it, or None if it occurs once.
+def _alternation(word: Word) -> tuple[list[str], int, list[int]]:
+    """(letters, width, near): the sorted alphabet and, per letter, the
+    letters it alternates with, as a mask over `width`-bit fields.
 
-    The running letter counts are packed into one integer, a field of
-    `width` bits per letter, so a gap's counts are the difference of two
-    prefixes. Adding 2^(width-1) - 1 to every field sets its top bit when
-    the count is at least one, adding 2^(width-1) - 2 when it is at least
-    two; the XOR of the two sums flags the counts of exactly one. The sets
-    are masks over those top bits, letter i at bit (i + 1) * width - 1, and
-    come back with the width. A position costs O(1) integer operations on
-    |A| * width bits.
+    {c, d} alternates exactly when each gap between consecutive copies of
+    c holds one copy of d and at most one d lies before c's first copy and
+    at most one after its last; a letter that occurs once alternates with
+    the other such letters and with each letter that has one copy before
+    it and one after it. One pass over the word gives every count these
+    rules need: the running letter counts are packed into one integer, a
+    field of `width` bits per letter, so the counts of a gap, a prefix or a
+    suffix are the difference of two prefixes. Adding 2^(width-1) - 1 to
+    every field sets its top bit when the count is at least one, adding
+    2^(width-1) - 2 when it is at least two; the XOR of the two sums flags
+    the counts of exactly one. The masks are over those top bits, letter j
+    at bit (j + 1) * width - 1. A position, and then a letter, costs O(1)
+    operations on integers of |A| * width bits, where a scan per letter
+    pair cost O(|A|^2 n).
     """
+    letters = sorted(alphabet(word))
+    index = {c: i for i, c in enumerate(letters)}
     width = len(word).bit_length() + 1  # every count stays below 2^(width-1)
-    low = int("0" + ("0" * (width - 1) + "1") * len(index), 2)
+    low = int("0" + ("0" * (width - 1) + "1") * len(letters), 2)
     high = low << (width - 1)
     one_or_more, two_or_more = high - low, high - 2 * low
-    inside: list[int | None] = [None] * len(index)
+    # per letter: flags of two or more over the counts before its first
+    # copy; the letters once in every gap so far, None while it has no gap;
+    # and the prefix just after its last copy
+    before: list[int | None] = [None] * len(letters)
+    inside: list[int | None] = [None] * len(letters)
+    after: list[int] = [0] * len(letters)
     prefix = 0
-    after: dict[str, int] = {}  # letter -> prefix just after its last occurrence
     for x in word:
         i = index[x]
-        if x in after:
-            gap = prefix - after[x]
+        if before[i] is None:
+            before[i] = prefix + two_or_more
+        else:
+            gap = prefix - after[i]
             once = (gap + one_or_more) ^ (gap + two_or_more)
             inside[i] = once & (high if inside[i] is None else inside[i])
         prefix += 1 << (i * width)
-        after[x] = prefix
-    return width, inside
+        after[i] = prefix
+    singles = sum(1 << ((i + 1) * width - 1) for i, m in enumerate(inside) if m is None)
+    suffix_flags = prefix + two_or_more  # less after[i]: the flags after i's last copy
+    near = []
+    for i, m in enumerate(inside):
+        if m is None:  # one copy: the letters with one copy on each side, and the single letters
+            head, tail = before[i] - two_or_more, prefix - after[i]
+            m = (head + one_or_more) ^ before[i]
+            m &= (tail + one_or_more) ^ (tail + two_or_more)
+            near.append((m & high | singles) ^ 1 << ((i + 1) * width - 1))
+        else:  # at most one copy before its first and after its last
+            near.append(m & ~(before[i] | suffix_flags - after[i]))
+    return letters, width, near
 
 
 def graph_of_word(word: Word) -> Graph:
-    """The graph on the word's alphabet whose edges are the alternating pairs.
-
-    {c, d} alternates exactly when each gap between consecutive copies of
-    c holds one copy of d and each gap of d one copy of c; a letter that
-    occurs once has no gap and constrains nothing. One pass over the word
-    collects those letter sets in O(n) operations on integers of
-    |A| * log n bits for n positions, and each letter then tests only the
-    letters in its set, one bit test each, where a scan per letter pair
-    cost O(|A|^2 n).
-    """
+    """The graph on the word's alphabet whose edges are the alternating
+    pairs, read off the masks of `_alternation`."""
     from .graphs import Graph  # imported here so that `wg locality` never loads graphs
 
-    letters = sorted(alphabet(word))
-    width, inside = _once_in_every_gap(word, {c: i for i, c in enumerate(letters)})
-    edges = list(combinations([c for c, m in zip(letters, inside) if m is None], 2))
-    for i, rest in enumerate(inside):
+    letters, width, near = _alternation(word)
+    edges = []
+    for i, c in enumerate(letters):
+        rest = near[i] >> (i + 1) * width  # the later letters, letter i + j at bit j * width - 1
         while rest:
             top = rest & -rest
             rest ^= top
-            j = top.bit_length() // width - 1
-            other = inside[j]
-            if other is None or (j > i and other >> ((i + 1) * width - 1) & 1):
-                edges.append((letters[i], letters[j]))
+            edges.append((c, letters[i + top.bit_length() // width]))
     return Graph(letters, edges)
+
+
+def _letter_masks(word: Word) -> tuple[list[str], list[int]]:
+    """The word's graph as masks: the sorted alphabet, and per letter the
+    bitmask of the letters it alternates with, bit j for the j-th letter.
+    The same edges as `graph_of_word`, with no Graph built."""
+    letters, width, near = _alternation(word)
+    masks = []
+    for m in near:
+        if m.bit_count() > 8:
+            # the top binary digit is a flag, and so is every width-th one
+            # after it, down to letter 0's
+            masks.append(int(bin(m)[2::width], 2))
+            continue
+        mask = 0  # a few flags cost less one by one than |A| * width digits
+        while m:
+            top = m & -m
+            m ^= top
+            mask |= 1 << (top.bit_length() // width - 1)
+        masks.append(mask)
+    return letters, masks

@@ -28,8 +28,9 @@ from wordgraphs import (
     serialize,
     simulate_marking,
 )
-from wordgraphs.cliquewidth import _build_expression
-from wordgraphs.graphs import Graph
+from wordgraphs.cliquewidth import _build_expression, _check_on_masks
+from wordgraphs.graphs import Graph, _neighbour_masks
+from wordgraphs.words import _letter_masks
 
 
 def reference_eval(expr):
@@ -437,19 +438,85 @@ def test_build_expression_checks_that_shared_labels_act_as_one(monkeypatch):
     # builder gives the two holders different neighbour verdicts
     from wordgraphs import cliquewidth
 
-    real = cliquewidth._neighbour_masks
+    real = cliquewidth._letter_masks
 
-    def without_ac(graph):
-        adj = real(graph)
-        a, c = graph.sorted_nodes().index("a"), graph.sorted_nodes().index("c")
+    def without_ac(word):
+        letters, adj = real(word)
+        a, c = letters.index("a"), letters.index("c")
         adj[a] &= ~(1 << c)
         adj[c] &= ~(1 << a)
-        return adj
+        return letters, adj
 
     assert serialize(build_expression("abcabc", ("a", "b", "c"), 2))
-    monkeypatch.setattr(cliquewidth, "_neighbour_masks", without_ac)
+    monkeypatch.setattr(cliquewidth, "_letter_masks", without_ac)
     with pytest.raises(RuntimeError, match=r"labeled \(1, 1\) part ways at stage 3"):
         build_expression("abcabc", ("a", "b", "c"), 2)
+
+
+def test_letter_masks_are_the_neighbour_masks_of_the_word_graph():
+    rng = random.Random(83)
+    words = [(), "a", "aaaa", ("x",), ("yy", "yy", "yy")]
+    for _ in range(300):  # random words, alphabets of 1 to 9 letters
+        alphabet = "abcdefghi"[: rng.randint(1, 9)]
+        words.append("".join(rng.choice(alphabet) for _ in range(rng.randint(1, 30))))
+    for _ in range(30):  # planted k-local token words
+        letters = [f"t{i}" for i in rng.sample(range(500), rng.randint(1, 60))]
+        words.append(_planted_token_word(rng, letters, rng.randint(len(letters), 150), rng.randint(1, 3))[0])
+    for _ in range(10):  # dense: concatenated permutations, most pairs alternate
+        letters = [f"d{i}" for i in range(rng.randint(2, 80))]
+        words.append(tuple(x for _ in range(rng.randint(1, 4)) for x in rng.sample(letters, len(letters))))
+    for word in words:
+        letters, masks = _letter_masks(word)
+        graph = graph_of_word(word)
+        assert letters == graph.sorted_nodes(), word
+        assert masks == _neighbour_masks(graph), word
+
+
+def _final_groups(expr, letters):
+    """The letters of each label in the evaluated expr, as index masks."""
+    groups = {}
+    for v, label in eval_expression(expr).labels.items():
+        groups[label] = groups.get(label, 0) | 1 << letters.index(v)
+    return groups
+
+
+def test_check_on_masks_needs_the_word_graph():
+    # c enters last and is wired to a and b; dropping that connect keeps
+    # every label, so only the comparison of the neighbour rows sees it
+    letters, near = _letter_masks("abcabc")
+    expr = build_expression("abcabc", ("a", "b", "c"), 2)
+    groups = _final_groups(expr, letters)
+    _check_on_masks(expr, letters, near, groups)
+    above, node = [], expr
+    while not isinstance(node, Connect):
+        above.append(node)
+        node = node.child
+    broken = node.child
+    for rename in reversed(above):
+        broken = Rename(rename.old, rename.new, broken)
+    assert _final_groups(broken, letters) == groups
+    with pytest.raises(RuntimeError, match="does not evaluate to the word's graph"):
+        _check_on_masks(broken, letters, near, groups)
+    # a letter the word lacks, or one left out
+    with pytest.raises(RuntimeError, match="does not evaluate to the word's graph"):
+        _check_on_masks(Union(Create(TWO, "z"), expr), letters, near, groups)
+    with pytest.raises(RuntimeError, match="does not evaluate to the word's graph"):
+        _check_on_masks(expr, [*letters, "d"], [*near, 0], groups)
+    with pytest.raises(ValueError, match=r"node\(s\) \['a'\] created on both sides of a union"):
+        _check_on_masks(Union(Create(TWO, "a"), expr), letters, near, groups)
+
+
+def test_check_on_masks_needs_the_final_labels():
+    # the outermost rename gives c its final label; sending it elsewhere
+    # keeps every edge, so only the comparison of the label groups sees it
+    letters, near = _letter_masks("abcabc")
+    expr = build_expression("abcabc", ("a", "b", "c"), 2)
+    groups = _final_groups(expr, letters)
+    assert isinstance(expr, Rename)
+    broken = Rename(expr.old, TWO if expr.new != TWO else (0, 1), expr.child)
+    assert eval_expression(broken).graph == eval_expression(expr).graph
+    with pytest.raises(RuntimeError, match="evaluated labels disagree with the final stage"):
+        _check_on_masks(broken, letters, near, groups)
 
 
 def test_build_expression_wider_k_is_allowed():
