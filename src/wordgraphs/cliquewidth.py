@@ -455,7 +455,7 @@ def build_expression(word: Word, sigma: Sequence[str], k: int) -> CwdExpression:
 
 def _build_expression(word: Word, sigma: Sequence[str], k: int) -> tuple[CwdExpression, frozenset]:
     """`build_expression` with the `labels_used` set of its result, which
-    its label check has already collected."""
+    its check on the letter masks collects in its one walk."""
     _check_k(k)
     if not len(word):
         raise ValueError("the empty word has no expression")
@@ -508,8 +508,7 @@ def _build_expression(word: Word, sigma: Sequence[str], k: int) -> tuple[CwdExpr
         groups = moved
     assert expr is not None
 
-    _check_on_masks(expr, letters, near, groups)
-    used = labels_used(expr)
+    used = _check_on_masks(expr, letters, near, groups)
     if len(used) > 2 ** k + 1:
         raise RuntimeError("internal: expression uses more labels than allowed")
     return expr, used
@@ -517,11 +516,11 @@ def _build_expression(word: Word, sigma: Sequence[str], k: int) -> tuple[CwdExpr
 
 def _check_on_masks(
     expr: CwdExpression, letters: list[str], near: list[int], groups: dict[Label, int]
-) -> None:
+) -> frozenset:
     """Raise RuntimeError unless expr builds the graph whose letter j has
     the neighbour mask near[j], with the letters of mask groups[label]
     holding that label; a node created twice raises `eval_expression`'s
-    ValueError.
+    ValueError. Returns `labels_used(expr)`, collected in the same walk.
 
     The evaluation is bit-parallel over the letters' indices: each subtree
     keeps the mask of its nodes and of each label's members, and each
@@ -542,9 +541,11 @@ def _check_on_masks(
             stack.append(node.child)
     rows = [0] * len(letters)
     done: list[tuple[int, dict[Any, int]]] = []  # per finished subtree: nodes, label groups
+    used = set()
     for node in reversed(order):
         cls = node.__class__
         if cls is Create:
+            used.add(node.label)
             i = index.get(node.node)
             if i is None:
                 raise RuntimeError("internal: expression does not evaluate to the word's graph")
@@ -562,6 +563,8 @@ def _check_on_masks(
                 labels[label] = labels.get(label, 0) | members
             done.append((nodes | other_nodes, labels))
         elif cls is Connect:
+            used.add(node.first)
+            used.add(node.second)
             labels = done[-1][1]
             first, second = labels.get(node.first, 0), labels.get(node.second, 0)
             if first and second:
@@ -571,6 +574,8 @@ def _check_on_masks(
                         members ^= low
                         rows[low.bit_length() - 1] |= other
         else:
+            used.add(node.old)
+            used.add(node.new)
             labels = done[-1][1]
             if node.old in labels:
                 labels[node.new] = labels.pop(node.old) | labels.get(node.new, 0)
@@ -579,3 +584,4 @@ def _check_on_masks(
         raise RuntimeError("internal: expression does not evaluate to the word's graph")
     if labels != groups:
         raise RuntimeError("internal: evaluated labels disagree with the final stage")
+    return frozenset(used)

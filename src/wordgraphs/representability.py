@@ -22,6 +22,7 @@ from .graphs import (
     _clique_parts,
     _compress,
     _graph_classes,
+    _is_threshold,
     _neighbour_masks,
     _twins,
 )
@@ -137,7 +138,7 @@ def decide_membership(
     lexicographic order, so the witness is the lexicographically smallest
     among the shortest. A prefix dies as soon as an edge pair repeats a
     letter in its projection, a non-edge pair can no longer pick up a
-    repeat, or some letter can no longer appear. Two cuts skip what
+    repeat, or some letter can no longer appear. Three cuts skip what
     theory already refutes:
 
     - Letters that occur once pairwise alternate, so they form a clique
@@ -148,8 +149,16 @@ def decide_membership(
       complete length, and G is a non-member as soon as one of them has
       none. A subgraph's "no" counts only when its complete length fits
       within max_len.
+    - The graphs of 1-local words are exactly the threshold graphs, the
+      graphs with no induced 2K2, C4 or P4 (Chvatal and Hammer, 1977).
+      So an L,1 query whose max_len reaches the complete bound 2n answers
+      "no" for a graph that fails `graphs._is_threshold`, with no search.
+      Under a lower cap the search runs as before: its "no" or its
+      BudgetExceededError depends on the cap, which the theorem does not
+      see. `wg speed` does not take this cut, so its L,1 threshold
+      cross-check compares `_is_threshold` with a search, not with itself.
 
-    A third cut skips words that only rename one already tried. For an
+    A fourth cut skips words that only rename one already tried. For an
     automorphism pi of G, pi(w) represents G with the same copy counts,
     locality and length, so only the lexicographically least word of each
     orbit need be searched (lex-leader symmetry breaking): a letter c is
@@ -185,6 +194,8 @@ def decide_membership(
     complete_len = maxc * n
     max_len = complete_len if query.max_len is None else min(query.max_len, complete_len)
     adj = _neighbour_masks(g)
+    if local_k == 1 and max_len == complete_len and not _is_threshold(adj):
+        return False, None
 
     def is_refuted(v: int) -> bool:
         """Whether G - v has no word up to its complete length."""

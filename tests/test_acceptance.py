@@ -8,6 +8,8 @@ import itertools
 import random
 from contextlib import contextmanager
 
+import pytest
+
 from wordgraphs import (
     TWO,
     Connect,
@@ -26,6 +28,7 @@ from wordgraphs import (
     fixture,
     graph_of_word,
     induced_subgraph,
+    is_k_local,
     is_k_local_with,
     is_threshold,
     is_threshold_by_obstruction,
@@ -42,6 +45,8 @@ from wordgraphs import (
     uniformize,
 )
 from wordgraphs.cliquewidth import RenameCycleError
+from wordgraphs.graphs import _canonical_form, _graph_classes, _is_threshold, _neighbour_masks
+from wordgraphs.representability import _any_word
 
 
 @contextmanager
@@ -115,19 +120,48 @@ def test_criterion_03_two_label_complete_graph():
         assert out.labels == {"a": one, "b": one, "c": two_, "d": two_}
 
 
+def one_local_word(letters, masks, generators):
+    """The search decide's L,1 threshold cut skips: any 1-local word with at
+    most two copies of each letter, up to the complete length 2n."""
+    return _any_word(letters, masks, generators, 2, 1, 2 * len(masks))
+
+
+def check_one_local_classes(sizes):
+    # every isomorphism class on these sizes: the word search's answer is
+    # the threshold test's, and a word found represents the class
+    for m, layer in enumerate(_graph_classes(max(sizes), node_budget=max(sizes))):
+        if m not in sizes:
+            continue
+        letters = [chr(i) for i in range(m)]
+        for cls in layer:
+            found = one_local_word(letters, cls.masks, cls.generators)
+            assert (found is not None) == _is_threshold(cls.masks), (m, cls.code)
+            if found is not None:
+                assert is_k_local(found, 1)
+                assert _neighbour_masks(graph_of_word(found)) == list(cls.masks), (m, cls.code)
+
+
 def test_criterion_04_one_local_equals_threshold():
+    # decide's L,1 "no" is the threshold test itself, so the claim is checked
+    # against the exhaustive word search instead
     with criterion(4, "one-local-equals-threshold"):
-        for g in enumerate_labeled_graphs(4):
-            member, witness = decide_membership(
-                MembershipQuery(graph=g, class_kind="L", k=1)
-            )
-            assert member == is_threshold(g) == is_threshold_by_obstruction(g), g
-            if member:
-                assert graph_of_word(witness) == g
+        for n in range(6):
+            for g in enumerate_labeled_graphs(n):
+                masks = _neighbour_masks(g)
+                found = one_local_word(g.sorted_nodes(), masks, _canonical_form(masks)[3])
+                assert (found is not None) == is_threshold(g), g
+                if found is not None:
+                    assert is_k_local(found, 1) and graph_of_word(found) == g, g
+                if n <= 4:
+                    assert is_threshold(g) == is_threshold_by_obstruction(g), g
+                    member, witness = decide_membership(MembershipQuery(graph=g, class_kind="L", k=1))
+                    assert member == is_threshold(g), g
+                    if member:
+                        assert graph_of_word(witness) == g
 
 
 def test_criterion_04_one_local_equals_threshold_extended():
-    with criterion(4, "one-local-equals-threshold (n=5)"):
+    with criterion(4, "one-local-equals-threshold (n=5, classes up to n=6)"):
         lines = []
         for g in enumerate_labeled_graphs(5, node_budget=5):
             member, witness = decide_membership(
@@ -138,6 +172,14 @@ def test_criterion_04_one_local_equals_threshold_extended():
         # a faster search must reproduce every witness byte for byte
         digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
         assert digest == "8238e5bb279729aebc4c827fa58ccd539cc30aee"
+        check_one_local_classes(range(7))
+
+
+@pytest.mark.slow
+def test_criterion_04_one_local_equals_threshold_at_seven_nodes():
+    # the 1,044 classes on 7 nodes, 64 of them threshold
+    with criterion(4, "one-local-equals-threshold (classes at n=7)"):
+        check_one_local_classes(range(7, 8))
 
 
 def test_criterion_05_oversized_letters_never_alternate():

@@ -220,6 +220,20 @@ def test_decide_takes_a_thousand_node_clique_within_its_budget(capsys, tmp_path)
     assert out == f"member: yes\nwitness: {' '.join(sorted(map(str, range(1, 1001))))}\n"
 
 
+def test_decide_refutes_a_thousand_node_path_by_the_threshold_test(capsys, tmp_path):
+    # P1000 is not a threshold graph, so an uncapped L,1 query answers no
+    # without a word search
+    code, graph, _ = run(capsys, "gen", "path", "1000")
+    assert code == 0
+    path = tmp_path / "p1000.json"
+    path.write_text(graph)
+    code, out, err = run(
+        capsys, "decide", "--graph", str(path), "--class", "L", "--k", "1", "--budget-nodes", "1000", "--json"
+    )
+    assert (code, err) == (1, "")
+    assert json.loads(out)["member"] is False
+
+
 def test_bad_env_budget_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("WG_BUDGET_LETTERS", "many")
     code, _, err = run(capsys, "locality", "abc")

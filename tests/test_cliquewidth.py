@@ -519,6 +519,19 @@ def test_check_on_masks_needs_the_final_labels():
         _check_on_masks(broken, letters, near, groups)
 
 
+def test_check_on_masks_collects_the_labels_used(monkeypatch):
+    # a build takes its label set from its check's one walk of the
+    # expression, never from a second walk by labels_used
+    cases = list(_wide_alphabet_cases())
+    with monkeypatch.context() as patched:
+        patched.setattr("wordgraphs.cliquewidth.labels_used", None)
+        built = [_build_expression(word, sigma, k) for word, sigma, k in cases]
+    for (word, _, _), (expr, used) in zip(cases, built):
+        letters, near = _letter_masks(word)
+        assert used == labels_used(expr), word
+        assert _check_on_masks(expr, letters, near, _final_groups(expr, letters)) == used, word
+
+
 def test_build_expression_wider_k_is_allowed():
     k, sigma = locality("banana")
     expr = build_expression("banana", sigma, k + 1)

@@ -289,8 +289,12 @@ def test_lex_leader_search_agrees_with_the_unpruned_search():
 
 
 def test_lex_leader_leaf_checks_are_pinned(monkeypatch):
-    # machine-independent: the labeled L,1 sweep on 5 nodes checks locality
-    # at 17,603 leaves, against 34,934 without the symmetry cut
+    # machine-independent. Uncapped, the labeled L,1 sweep on 5 nodes checks
+    # locality once per member: every "no" is the threshold test. Capped at
+    # 2n - 1 = 9 letters it runs the search for every graph, with the same
+    # answers, and checks locality at 17,603 leaves, against 34,934 without
+    # the symmetry cut (the labeled L,2 sweep checks 1,024 either way: the
+    # first word each graph completes is 2-local)
     calls = []
     real = representability.is_k_local
 
@@ -299,11 +303,31 @@ def test_lex_leader_leaf_checks_are_pinned(monkeypatch):
         return real(word, k, **kwargs)
 
     monkeypatch.setattr(representability, "is_k_local", counted)
-    members = sum(
-        decide_membership(MembershipQuery(graph=g, class_kind="L", k=1))[0]
-        for g in enumerate_labeled_graphs(5)
-    )
-    assert (members, len(calls)) == (332, 17603)
+    for max_len, leaves in ((None, 332), (9, 17603)):
+        calls.clear()
+        members = sum(
+            decide_membership(MembershipQuery(graph=g, class_kind="L", k=1, max_len=max_len))[0]
+            for g in enumerate_labeled_graphs(5)
+        )
+        assert (members, len(calls)) == (332, leaves), max_len
+
+
+def test_decide_l1_threshold_cut_leaves_capped_answers_alone():
+    # 2K2, C4 and P4, alone and with an isolated vertex: below the
+    # obstruction's complete length 8 the search cannot conclude and raises,
+    # from 8 on it (or, from 2n on, the threshold test) answers no
+    for name in ("2K2", "C4", "P4"):
+        obstruction = fixture(name)
+        for g in (obstruction, Graph([*obstruction.nodes, "z"], obstruction.edges)):
+            complete = 2 * len(g.nodes)
+            for max_len in [*range(complete + 2), None]:
+                query = MembershipQuery(graph=g, class_kind="L", k=1, max_len=max_len)
+                if max_len is not None and max_len < 8:
+                    with pytest.raises(BudgetExceededError) as raised:
+                        decide_membership(query)
+                    assert str(raised.value) == f"no word up to length {max_len}, but only {complete} is conclusive"
+                else:
+                    assert decide_membership(query) == (False, None), (name, g, max_len)
 
 
 def test_clique_number_matches_brute_force():
