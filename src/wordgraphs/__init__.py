@@ -106,66 +106,9 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "Connect",
-    "Create",
-    "CwdExpression",
-    "Graph",
-    "Label",
-    "LabeledGraph",
-    "MarkingSequence",
-    "MembershipQuery",
-    "ParseError",
-    "Rename",
-    "RenameCycleError",
-    "StageTrace",
-    "TWO",
-    "Union",
-    "adjacency",
-    "alphabet",
-    "alternates",
-    "bell_number",
-    "block_labels",
-    "build_expression",
-    "clique_partition_graph",
-    "complete_graph",
-    "contains_induced",
-    "crown_graph",
-    "cycle_graph",
-    "decide_membership",
-    "empty_graph",
-    "enumerate_labeled_graphs",
-    "eval_expression",
-    "fixture",
-    "fixture_names",
-    "graph_from_edge_list_text",
-    "graph_from_json_text",
-    "graph_from_text",
-    "graph_of_word",
-    "induced_subgraph",
-    "is_k_local",
-    "is_k_local_with",
-    "is_threshold",
-    "is_threshold_by_obstruction",
-    "label_sort_key",
-    "labels_used",
-    "locality",
-    "make_word",
-    "max_block_count",
-    "occurrences",
-    "oversized_letters",
-    "parse",
-    "partitionable_into",
-    "path_graph",
-    "project",
-    "represent_clique_partition",
-    "schedule_renames",
-    "serialize",
-    "set_partitions",
-    "simulate_marking",
-    "to_edge_list_text",
-    "to_json_dict",
-    "to_json_text",
-    "uniformize",
-]
+# every public name once: those the imports above bind, then the lazy ones;
+# importing a submodule binds its name too (`errors`, `words`), left out here
+__all__ = sorted(
+    [n for n, v in globals().items() if not n.startswith("_") and type(v) is not type(errors)]
+    + list(_LAZY)
+)

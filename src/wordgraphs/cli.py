@@ -325,22 +325,32 @@ def _cmd_threshold(args) -> int:
     return 0 if elim else 1
 
 
-def _cmd_cwd_build(args) -> int:
+def _cmd_cwd(args) -> int:
+    """`cwd build` and `cwd verify`: verify reports the check instead of the text."""
     from .cliquewidth import _build_expression, serialize
 
     word = _word(args)
     sigma = _sigma(args.sigma)
-    expr, used = _build_expression(word, sigma, args.k)
+    # build_expression raises unless the expression evaluates to the word's
+    # graph within the label limit, so a returned expression always matches
+    expr, labels = _build_expression(word, sigma, args.k)
+    verify = args.cwd_command == "verify"
+    used = len(labels)
+    limit = 2 ** args.k + 1
     if args.json:
-        _print_json(
-            {
-                "word": _word_json(word),
-                "sigma": list(sigma),
-                "k": args.k,
-                "expression": serialize(expr),
-                "labels_used": len(used),
-            }
-        )
+        out = {
+            "word": _word_json(word),
+            "sigma": list(sigma),
+            "k": args.k,
+            "expression": serialize(expr),
+            "labels_used": used,
+        }
+        if verify:
+            out.update(matches=True, label_limit=limit)
+        _print_json(out)
+    elif verify:
+        print("graph matches: yes")
+        print(f"labels used: {used} (limit {limit})")
     else:
         print(serialize(expr))
     return 0
@@ -367,34 +377,6 @@ def _cmd_cwd_eval(args) -> int:
         print("labels:")
         for v in out.graph.sorted_nodes():
             print(f"{v}: {_label_text(out.labels[v])}")
-    return 0
-
-
-def _cmd_cwd_verify(args) -> int:
-    from .cliquewidth import _build_expression, serialize
-
-    word = _word(args)
-    sigma = _sigma(args.sigma)
-    # build_expression raises unless the expression evaluates to the word's
-    # graph within the label limit, so a returned expression always matches
-    expr, labels = _build_expression(word, sigma, args.k)
-    used = len(labels)
-    limit = 2 ** args.k + 1
-    if args.json:
-        _print_json(
-            {
-                "word": _word_json(word),
-                "sigma": list(sigma),
-                "k": args.k,
-                "matches": True,
-                "labels_used": used,
-                "label_limit": limit,
-                "expression": serialize(expr),
-            }
-        )
-    else:
-        print("graph matches: yes")
-        print(f"labels used: {used} (limit {limit})")
     return 0
 
 
@@ -528,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--sigma", required=True)
     q.add_argument("--k", type=int, required=True)
     _add_json(q)
-    q.set_defaults(handler=_cmd_cwd_build)
+    q.set_defaults(handler=_cmd_cwd)
 
     q = cwd_sub.add_parser("eval", help="evaluate a serialized expression")
     q.add_argument("path", help="expression file, - for stdin")
@@ -540,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--sigma", required=True)
     q.add_argument("--k", type=int, required=True)
     _add_json(q)
-    q.set_defaults(handler=_cmd_cwd_verify)
+    q.set_defaults(handler=_cmd_cwd)
 
     p = sub.add_parser("speed", help="count class members over all labeled graphs on n nodes")
     p.add_argument("--class", dest="class_kind", required=True, choices=("L", "R"))

@@ -137,49 +137,29 @@ def _postorder(expr: CwdExpression) -> list[CwdExpression]:
     return order[::-1]
 
 
-def _merged(a: set, b: set) -> set:
-    """Union of two sets, built by adding the smaller into the larger."""
-    if len(a) < len(b):
-        a, b = b, a
-    a |= b
-    return a
-
-
 def eval_expression(expr: CwdExpression) -> LabeledGraph:
     """Bottom-up evaluation. Rejects a node id created more than once.
 
-    Every subtree keeps its node set, its edge set and its nodes grouped
-    by label. A union adds the smaller side into the larger one and a
-    rename the smaller label group into the larger, so an expression with
-    N creates costs O(N log N) set insertions plus one per connected pair.
+    The bit-parallel walk `_evaluate`, which `build_expression` also checks
+    its result with, gives node ids bits in creation order. A union costs
+    one OR per label of one side, a connect one per member of its two label
+    groups and a rename one, on masks of up to N bits for N creates; the
+    edge pairs and labels are then read off, one step per edge and node.
     """
-    done: list[tuple[set[str], set[tuple[str, str]], dict[Any, set[str]]]] = []
-    for node in _postorder(expr):
-        if isinstance(node, Create):
-            done.append(({node.node}, set(), {node.label: {node.node}}))
-        elif isinstance(node, Union):
-            nodes, edges, groups = done.pop()
-            other_nodes, other_edges, other_groups = done.pop()
-            clash = nodes & other_nodes
-            if clash:
-                raise ValueError(f"node(s) {sorted(clash)!r} created on both sides of a union")
-            if len(groups) < len(other_groups):
-                groups, other_groups = other_groups, groups
-            for label, members in other_groups.items():
-                groups[label] = _merged(groups.pop(label, set()), members)
-            done.append((_merged(nodes, other_nodes), _merged(edges, other_edges), groups))
-        elif isinstance(node, Connect):
-            _, edges, groups = done[-1]
-            for u in groups.get(node.first, ()):
-                for v in groups.get(node.second, ()):
-                    edges.add((u, v) if u < v else (v, u))
-        else:
-            groups = done[-1][2]
-            if node.old in groups:
-                groups[node.new] = _merged(groups.pop(node.old), groups.pop(node.new, set()))
-    nodes, edges, groups = done.pop()
-    labels = {v: label for label, members in groups.items() for v in members}
-    return LabeledGraph(Graph(nodes, edges), labels)
+    index: dict[str, int] = {}
+    _, rows, groups, _ = _evaluate(expr, index)
+    names = list(index)  # names[i] holds bit i
+    edges = [(names[i], names[j]) for i, row in enumerate(rows) for j in _bits(row >> i << i)]
+    labels = {names[j]: label for label, members in groups.items() for j in _bits(members)}
+    return LabeledGraph(Graph(names, edges), labels)
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def labels_used(expr: CwdExpression) -> frozenset:
@@ -446,9 +426,9 @@ def build_expression(word: Word, sigma: Sequence[str], k: int) -> CwdExpression:
     neighbourhoods from `words._letter_masks`. A stage costs O(2^k k)
     label work and 2^k + 1 operations on |A|-bit letter masks, plus the
     new letter's occurrences; no stage looks at every letter. The result
-    is checked before returning (`_check_on_masks`): it must evaluate to
-    the graph of the word with the final stage's block labels, within
-    2^k + 1 labels.
+    is checked before returning (`_check_on_masks`, by the walk that
+    `eval_expression` runs): it must evaluate to the graph of the word
+    with the final stage's block labels, within 2^k + 1 labels.
     """
     return _build_expression(word, sigma, k)[0]
 
@@ -522,14 +502,32 @@ def _check_on_masks(
     holding that label; a node created twice raises `eval_expression`'s
     ValueError. Returns `labels_used(expr)`, collected in the same walk.
 
-    The evaluation is bit-parallel over the letters' indices: each subtree
-    keeps the mask of its nodes and of each label's members, and each
-    letter a row of its neighbours. A union ORs the masks, a connect ORs
-    each group's mask into the rows of the other group's members, and a
-    rename ORs the two groups. `eval_expression` stays on sets of names,
-    which its callers need as edge pairs.
+    The walk is `eval_expression`'s (`_evaluate`) with letter j on bit j:
+    a node id the word lacks gets a bit past the last letter and fails the
+    node mask comparison. No edge pairs are read off the rows.
     """
     index = {c: i for i, c in enumerate(letters)}
+    nodes, rows, labels, used = _evaluate(expr, index)
+    if nodes != (1 << len(letters)) - 1 or rows != near:
+        raise RuntimeError("internal: expression does not evaluate to the word's graph")
+    if labels != groups:
+        raise RuntimeError("internal: evaluated labels disagree with the final stage")
+    return frozenset(used)
+
+
+def _evaluate(
+    expr: CwdExpression, index: dict[str, int]
+) -> tuple[int, list[int], dict[Any, int], set]:
+    """Evaluate expr bit-parallel: (node mask, neighbour row per bit, label
+    groups as masks, labels used). A node id takes its bit from index,
+    or is added to it with the next free bit. A node created twice raises
+    ValueError naming the clashing ids, sorted.
+
+    Each subtree keeps the mask of its nodes and of each label's members,
+    and each node a row of its neighbours. A union ORs the masks, a
+    connect ORs each group's mask into the rows of the other group's
+    members, and a rename ORs the two groups.
+    """
     order, stack = [], [expr]  # the nodes, parents before children
     while stack:
         node = stack.pop()
@@ -539,23 +537,23 @@ def _check_on_masks(
             stack += (node.left, node.right)
         elif cls is not Create:
             stack.append(node.child)
-    rows = [0] * len(letters)
+    rows = [0] * len(index)
     done: list[tuple[int, dict[Any, int]]] = []  # per finished subtree: nodes, label groups
     used = set()
     for node in reversed(order):
         cls = node.__class__
         if cls is Create:
             used.add(node.label)
-            i = index.get(node.node)
-            if i is None:
-                raise RuntimeError("internal: expression does not evaluate to the word's graph")
+            i = index.setdefault(node.node, len(index))
+            if i == len(rows):
+                rows.append(0)
             done.append((1 << i, {node.label: 1 << i}))
         elif cls is Union:
             nodes, labels = done.pop()
             other_nodes, other_labels = done.pop()
             clash = nodes & other_nodes
             if clash:
-                names = [c for j, c in enumerate(letters) if clash >> j & 1]
+                names = sorted(c for c, j in index.items() if clash >> j & 1)
                 raise ValueError(f"node(s) {names!r} created on both sides of a union")
             if len(labels) < len(other_labels):
                 labels, other_labels = other_labels, labels
@@ -580,8 +578,4 @@ def _check_on_masks(
             if node.old in labels:
                 labels[node.new] = labels.pop(node.old) | labels.get(node.new, 0)
     nodes, labels = done.pop()
-    if nodes != (1 << len(letters)) - 1 or rows != near:
-        raise RuntimeError("internal: expression does not evaluate to the word's graph")
-    if labels != groups:
-        raise RuntimeError("internal: evaluated labels disagree with the final stage")
-    return frozenset(used)
+    return nodes, rows, labels, used

@@ -357,6 +357,48 @@ def test_cwd_build_eval_verify(capsys, tmp_path):
     assert out == "graph matches: yes\nlabels used: 4 (limit 5)\n"
 
 
+# exit code, sha1 of stdout and stderr of `cwd build` and `cwd verify`,
+# text and --json, on a word, a token word and a word too wide for k
+CWD_BANANA = ["banana", "--sigma", "n,a,b", "--k", "2"]
+CWD_TOKENS = ["p1 q2 p1 r3 q2 r3 p1", "--tokens", "--sigma", "q2,r3,p1", "--k", "2"]
+CWD_TOO_WIDE = ["pepper", "--sigma", "e,p,r", "--k", "1"]
+TOO_WIDE = "error: ('e', 'p', 'r') reaches 2 blocks, more than k=1\n"
+NO_OUTPUT = "da39a3ee5e6b4b0d3255bfef95601890afd80709"
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest, err",
+    [
+        (["build", *CWD_BANANA], 0, "133969a6bfb4094a9e8e3147cd0e2f68393a2fc7", ""),
+        (["build", *CWD_BANANA, "--json"], 0, "32c8886e9c959607339dba47e17d21e04475f3b9", ""),
+        (["build", *CWD_TOKENS], 0, "3f3125ffd1793b128a34e2da49fbab7f9069b89c", ""),
+        (["build", *CWD_TOKENS, "--json"], 0, "171693bb88011cb8447df157cf41961df7e2aa84", ""),
+        (["build", *CWD_TOO_WIDE], 2, NO_OUTPUT, TOO_WIDE),
+        (["build", *CWD_TOO_WIDE, "--json"], 2, NO_OUTPUT, TOO_WIDE),
+        (["verify", *CWD_BANANA], 0, "0cf356ef034abda7c13f9de53696e032e1ebf639", ""),
+        (["verify", *CWD_BANANA, "--json"], 0, "5a787aad1a6cb988f4cf63d865ae1f4f8ba8f6d7", ""),
+        (["verify", *CWD_TOKENS], 0, "b7d6a43b8cfcaaa8829b949657fa8d6ca942ea5c", ""),
+        (["verify", *CWD_TOKENS, "--json"], 0, "f9af9e0c300b9beec5120cdffdaa1befc16eeb7a", ""),
+        (["verify", *CWD_TOO_WIDE], 2, NO_OUTPUT, TOO_WIDE),
+        (["verify", *CWD_TOO_WIDE, "--json"], 2, NO_OUTPUT, TOO_WIDE),
+    ],
+)
+def test_cwd_build_and_verify_output_is_pinned(capsys, argv, code, digest, err):
+    got_code, out, got_err = run(capsys, "cwd", *argv)
+    assert (got_code, hashlib.sha1(out.encode()).hexdigest(), got_err) == (code, digest, err)
+
+
+def test_cwd_eval_union_clash_names_the_nodes_sorted(capsys, tmp_path):
+    # b is created before a on each side, so listing by creation order
+    # would put b first
+    side = '(union (create two "b") (create two "a"))'
+    path = tmp_path / "clash.cwd"
+    path.write_text(f"(union {side} {side})")
+    assert run(capsys, "cwd", "eval", str(path)) == (
+        2, "", "error: node(s) ['a', 'b'] created on both sides of a union\n"
+    )
+
+
 def test_cwd_eval_reads_escaped_node_ids(capsys, tmp_path):
     ids = ["a\nb", 'say "hi"\\']
     expr = Connect((1,), (0,), Union(Create((1,), ids[0]), Create((0,), ids[1])))

@@ -57,6 +57,10 @@ def reference_eval(expr):
 def test_eval_matches_node_by_node_reference():
     rng = random.Random(41)
     pool = [(0,), (1,), TWO, (0, 1)]
+    # connects and renames also draw (1, 1), which no create uses, and a
+    # rename may keep its label: Rename(x, x)
+    ops = [*pool, (1, 1)]
+    corners = {"rename to itself": 0, "label never created": 0}
 
     def random_expr(ids, depth):
         if depth == 0 or rng.random() < 0.2:
@@ -65,8 +69,15 @@ def test_eval_matches_node_by_node_reference():
         if kind == 0:
             return Union(random_expr(ids, depth - 1), random_expr(ids, depth - 1))
         child = random_expr(ids, depth - 1)
-        first, second = rng.sample(pool, 2)
-        return Connect(first, second, child) if kind == 1 else Rename(first, second, child)
+        if kind == 1:
+            first, second = rng.sample(ops, 2)
+            node = Connect(first, second, child)
+        else:
+            first, second = rng.choice(ops), rng.choice(ops)
+            node = Rename(first, second, child)
+            corners["rename to itself"] += first == second
+        corners["label never created"] += (1, 1) in (first, second)
+        return node
 
     clashes = 0
     for _ in range(400):
@@ -83,6 +94,7 @@ def test_eval_matches_node_by_node_reference():
         assert out.graph == Graph(frozenset(nodes), frozenset(edges))
         assert out.labels == labels
     assert 20 < clashes < 200
+    assert min(corners.values()) > 50, corners
 
 
 def test_two_survives_pickle_and_deepcopy():

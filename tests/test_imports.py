@@ -4,6 +4,7 @@ and only the verbs that build stage traces load `dataclasses`."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -79,6 +80,15 @@ def test_public_api_under_lazy_loading():
         "locality": "function",
         "unknown": "module 'wordgraphs' has no attribute 'no_such_name'",
     }
+
+
+def test_public_names_are_pinned():
+    # the 61 names, each listed once in the package; their sha1 over the
+    # sorted names joined by newlines
+    names = sorted(wordgraphs.__all__)
+    assert len(names) == len(set(names)) == 61
+    digest = hashlib.sha1("\n".join(names).encode()).hexdigest()
+    assert digest == "32df682f34b6e44e2367f5d8e511c6ae4fd08dde"
 
 
 EAGER = ["wordgraphs", "wordgraphs.errors", "wordgraphs.locality", "wordgraphs.words"]
