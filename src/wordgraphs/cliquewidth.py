@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from typing import Any, Sequence, Union as TypeUnion
+from typing import TYPE_CHECKING, Any, Sequence, Union as TypeUnion
 
-from .graphs import Graph
 from .locality import TWO, Label, _check_k, _marking_stages, _occupancy_label, label_sort_key
 from .words import Word, _letter_masks
+
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 
 class RenameCycleError(RuntimeError):
@@ -146,6 +148,8 @@ def eval_expression(expr: CwdExpression) -> LabeledGraph:
     groups and a rename one, on masks of up to N bits for N creates; the
     edge pairs and labels are then read off, one step per edge and node.
     """
+    from .graphs import Graph  # imported here so that `wg cwd build` and `cwd verify` never load graphs
+
     index: dict[str, int] = {}
     _, rows, groups, _ = _evaluate(expr, index)
     names = list(index)  # names[i] holds bit i
@@ -207,32 +211,57 @@ def _quote(s: str) -> str:
 def serialize(expr: CwdExpression) -> str:
     """The one-line text of expr; `parse` reads it back to an equal expression.
 
-    Each label object is checked and formatted once per call, so a value
-    such as (1.0, 0), equal to (1, 0) but not made of bits, still raises.
-    `_build_expression` and `parse` hand out one object per label value,
-    so on their expressions that is once per distinct label.
+    The four node classes are told apart by their exact class, and each
+    node's opening text is written in one piece; any other object goes
+    through `_parts`, so a subclass writes like its base class and a
+    non-node raises TypeError. Each label object is checked and formatted
+    once per call, so a value such as (1.0, 0), equal to (1, 0) but not
+    made of bits, still raises. `_build_expression` and `parse` hand out
+    one object per label value, so on their expressions that is once per
+    distinct label.
     """
     out: list[str] = []
-    label_texts: dict[int, str] = {}  # id of a label -> its text; expr keeps every label alive
+    texts: dict[int, str] = {}  # id of a label -> its text; expr keeps every label alive
     stack: list[CwdExpression | str] = [expr]  # nodes still to write and closing text
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        cls = item.__class__
+        if cls is str:
             out.append(item)
-            continue
-        head, labels, ids, children = _parts(item)
-        words = ["(" + head]
-        for label in labels:
-            text = label_texts.get(id(label))
-            if text is None:
-                text = label_texts[id(label)] = _label_text(label)
-            words.append(text)
-        words += map(_quote, ids)
-        out.append(" ".join(words))
-        stack.append(")")
-        for child in reversed(children):
-            stack += (child, " ")
+        elif cls is Create:
+            text = texts.get(id(item.label)) or _text_of(item.label, texts)
+            out.append(f"(create {text} {_quote(item.node)})")
+        elif cls is Union:
+            out.append("(union ")
+            stack += (")", item.right, " ", item.left)
+        elif cls is Connect:
+            first = texts.get(id(item.first)) or _text_of(item.first, texts)
+            second = texts.get(id(item.second)) or _text_of(item.second, texts)
+            out.append(f"(connect {first} {second} ")
+            stack += (")", item.child)
+        elif cls is Rename:
+            old = texts.get(id(item.old)) or _text_of(item.old, texts)
+            new = texts.get(id(item.new)) or _text_of(item.new, texts)
+            out.append(f"(rename {old} {new} ")
+            stack += (")", item.child)
+        elif isinstance(item, str):
+            out.append(item)
+        else:
+            head, labels, ids, children = _parts(item)
+            words = ["(" + head]
+            words += [texts.get(id(label)) or _text_of(label, texts) for label in labels]
+            words += map(_quote, ids)
+            out.append(" ".join(words))
+            stack.append(")")
+            for child in reversed(children):
+                stack += (child, " ")
     return "".join(out)
+
+
+def _text_of(label: Any, texts: dict[int, str]) -> str:
+    """The text of label, stored in texts under its id."""
+    text = texts[id(label)] = _label_text(label)
+    return text
 
 
 # Whitespace goes with the token after it, so every match but the empty one
@@ -423,12 +452,15 @@ def build_expression(word: Word, sigma: Sequence[str], k: int) -> CwdExpression:
     neighbourhood, or RuntimeError is raised.
 
     The stages come from `locality._marking_stages`, and the letters'
-    neighbourhoods from `words._letter_masks`. A stage costs O(2^k k)
-    label work and 2^k + 1 operations on |A|-bit letter masks, plus the
-    new letter's occurrences; no stage looks at every letter. The result
-    is checked before returning (`_check_on_masks`, by the walk that
-    `eval_expression` runs): it must evaluate to the graph of the word
-    with the final stage's block labels, within 2^k + 1 labels.
+    neighbourhoods from `words._letter_masks`. A stage's relabel plan
+    (`_stage_plan`, O(2^k k) label work) depends only on its origins and
+    the labels held, so a build works it out once per distinct pair. A
+    stage costs a lookup of that pair and 2^k + 1 operations on |A|-bit
+    letter masks, plus the new letter's occurrences; no stage looks at
+    every letter. The result is checked before returning
+    (`_check_on_masks`, by the walk that `eval_expression` runs): it must
+    evaluate to the graph of the word with the final stage's block
+    labels, within 2^k + 1 labels.
     """
     return _build_expression(word, sigma, k)[0]
 
@@ -448,6 +480,9 @@ def _build_expression(word: Word, sigma: Sequence[str], k: int) -> tuple[CwdExpr
     zero = (0,) * k
     interned = {zero: zero}  # one object per label value, so `serialize` formats each once
 
+    # stage shape -> its relabel plan, kept for this build only: plans kept
+    # across calls would speed up in-process callers but never a `wg` run
+    plans: dict[tuple, tuple] = {}
     expr: CwdExpression | None = None
     groups: dict[Label, int] = {}  # label -> bitmask of the survivors holding it
     for stage, (a, _, origins, counts) in enumerate(stages, 1):
@@ -455,32 +490,27 @@ def _build_expression(word: Word, sigma: Sequence[str], k: int) -> tuple[CwdExpr
         expr = piece if expr is None else Union(piece, expr)
         i = index[a]
         adj = near[i]
-        positions = [j for j, org in enumerate(origins) if org]
-        wired: list[Label] = []
-        merge_map: dict[Label, Label] = {}
-        shift_map: dict[Label, Label] = {}
+        shape = (origins, tuple(groups))
+        plan = plans.get(shape)
+        if plan is None:
+            plan = plans[shape] = _stage_plan(*shape, k, interned)
+        shifts, ranked, renames = plan
+        wired = set()
         moved: dict[Label, int] = {}
-        for label, members in groups.items():
+        for (label, members), shifted in zip(groups.items(), shifts):
             hit = members & adj
             if hit:
                 if hit != members:
                     raise RuntimeError(
                         f"internal: letters labeled {label!r} part ways at stage {stage}"
                     )
-                wired.append(label)
-            shifted = _next_label(label, origins, k)
-            shifted = merged = interned.setdefault(shifted, shifted)
-            if shifted is not TWO:
-                merged = tuple(shifted[j] for j in positions) + (0,) * (k - len(positions))
-                merged = interned.setdefault(merged, merged)
-            merge_map[label] = merged
-            shift_map[merged] = shifted
+                wired.add(label)
             moved[shifted] = moved.get(shifted, 0) | members
-        for label in sorted(wired, key=label_sort_key):
-            expr = Connect(label, zero, expr)
-        for mapping in (merge_map, shift_map):
-            for old, new in schedule_renames(mapping):
-                expr = Rename(old, new, expr)
+        for label in ranked:
+            if label in wired:
+                expr = Connect(label, zero, expr)
+        for old, new in renames:
+            expr = Rename(old, new, expr)
         own = _occupancy_label(counts, k)
         own = interned.setdefault(own, own)
         expr = Rename(zero, own, expr)
@@ -492,6 +522,31 @@ def _build_expression(word: Word, sigma: Sequence[str], k: int) -> tuple[CwdExpr
     if len(used) > 2 ** k + 1:
         raise RuntimeError("internal: expression uses more labels than allowed")
     return expr, used
+
+
+def _stage_plan(
+    origins: tuple[tuple[int, ...], ...], held: tuple[Label, ...], k: int, interned: dict
+) -> tuple[list[Label], list[Label], list[tuple[Any, Any]]]:
+    """The relabel plan of a stage whose blocks grew out of origins: each
+    held label's shifted label, in held order; the held labels in connect
+    order; the merge renames, then the shift renames, each pass ordered by
+    `schedule_renames`. New label values are interned in interned.
+    """
+    positions = [j for j, org in enumerate(origins) if org]
+    shifts: list[Label] = []
+    merge_map: dict[Label, Label] = {}
+    shift_map: dict[Label, Label] = {}
+    for label in held:
+        shifted = _next_label(label, origins, k)
+        shifted = merged = interned.setdefault(shifted, shifted)
+        if shifted is not TWO:
+            merged = tuple(shifted[j] for j in positions) + (0,) * (k - len(positions))
+            merged = interned.setdefault(merged, merged)
+        merge_map[label] = merged
+        shift_map[merged] = shifted
+        shifts.append(shifted)
+    ranked = sorted(held, key=label_sort_key)
+    return shifts, ranked, schedule_renames(merge_map) + schedule_renames(shift_map)
 
 
 def _check_on_masks(

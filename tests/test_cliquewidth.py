@@ -163,6 +163,32 @@ def test_serialize_forms():
     flags = Create((True, False), "a")
     assert serialize(flags) == '(create (1 0) "a")'
     assert parse(serialize(flags)) == flags
+    flags = Rename((True, False), (False, True), Connect((True, True), (False, True), flags))
+    assert serialize(flags) == '(rename (1 0) (0 1) (connect (1 1) (0 1) (create (1 0) "a")))'
+    assert parse(serialize(flags)) == flags
+
+
+@pytest.mark.parametrize("bad", [42, None, (TWO, "a")])
+def test_serialize_rejects_what_is_no_node(bad):
+    for expr in (bad, Union(Create(TWO, "a"), bad), Rename((1,), TWO, bad)):
+        with pytest.raises(TypeError) as caught:
+            serialize(expr)
+        assert str(caught.value) == f"not an expression node: {bad!r}"
+
+
+def test_serialize_writes_subclasses_like_their_base():
+    subclasses = [type("My" + base.__name__, (base,), {}) for base in (Create, Union, Connect, Rename)]
+
+    def build(create, union, connect, rename):
+        return rename((1, 0), TWO, connect((1, 0), (0, 1), union(create((1, 0), "a"), create((0, 1), 'b"'))))
+
+    text = '(rename (1 0) two (connect (1 0) (0 1) (union (create (1 0) "a") (create (0 1) "b\\""))))'
+    assert serialize(build(Create, Union, Connect, Rename)) == text
+    mine = build(*subclasses)
+    assert serialize(mine) == text
+    # subclass nodes under a plain node, and plain nodes under a subclass node
+    assert serialize(Union(mine, Create(TWO, "c"))) == f'(union {text} (create two "c"))'
+    assert serialize(subclasses[1](Create(TWO, "c"), mine)) == f'(union (create two "c") {text})'
 
 
 @pytest.mark.parametrize(
@@ -443,6 +469,39 @@ def test_expression_text_beyond_three_letters_is_pinned():
     assert count == 540
     # computed with the label algebra that tracked merges and shifts per stage
     assert texts.hexdigest() == "43d243d9d7660a98a2ddd296d5e6f00dede1e375"
+
+
+def _long_word_cases():
+    # long alphabets, where many stages share their origins and held labels
+    rng = random.Random(83)
+    for k in (1, 2, 3):
+        for _ in range(3):
+            letters = [f"t{i}" for i in rng.sample(range(1000), rng.randint(100, 150))]
+            yield (*_planted_token_word(rng, letters, rng.randint(len(letters), 2 * len(letters)), k), k)
+    # 80 five-cliques laid out A1..A80 A80..A1, marked innermost first: 2-local on 400 letters
+    parts = [[f"v{5 * i + j}" for j in range(5)] for i in range(80)]
+    word = tuple(x for part in parts + parts[::-1] for x in part)
+    yield word, tuple(x for part in parts[::-1] for x in part), 2
+
+
+def test_expression_text_of_long_words_is_pinned():
+    digests = [
+        hashlib.sha1(serialize(build_expression(word, sigma, k)).encode()).hexdigest()
+        for word, sigma, k in _long_word_cases()
+    ]
+    # computed with the builder that worked out every stage's renames afresh
+    assert digests == [
+        "1fbf7f7a391263c55f0f5482b5c3fcaf97427110",
+        "992b05881ce9cfba2f595dade493097647582c9b",
+        "753b0fdebefe2787845a8fa2ef19e555dc00f4a7",
+        "3b230edee6c9162f98519ee1878cfe562a174aad",
+        "317216225193233f5b73054ae3b55d1fc7232bb1",
+        "0056195bc5562aa40d81540ae5c3829c8a81c3d3",
+        "f54fd184ac7af24efec0e78824e6a4d43557b083",
+        "1470898d0d68d76ab678214ac88b5550cc972cc7",
+        "0aeacbc83a4e3ba17e1dbe792bb03010fbe5a0b0",
+        "9e5118cbbb9e72b587902d2f903f1e5a709c7a1e",
+    ]
 
 
 def test_build_expression_checks_that_shared_labels_act_as_one(monkeypatch):

@@ -107,8 +107,8 @@ EDGE = '{"nodes": ["a", "b", "c"], "edges": [["a", "b"]]}'
         (["cliques", "ab|cd|e"], ["cli", "graphs", "representability"]),
         (["decide", "--graph", "{graph}", "--class", "L", "--k", "1"], ["cli", "graphs", "representability"]),
         (["speed", "--class", "R", "--k", "2", "--n", "3"], ["cli", "graphs", "representability"]),
-        (["cwd", "build", "abab", "--sigma", "a,b", "--k", "2"], ["cli", "cliquewidth", "graphs"]),
-        (["cwd", "verify", "abab", "--sigma", "a,b", "--k", "2"], ["cli", "cliquewidth", "graphs"]),
+        (["cwd", "build", "abab", "--sigma", "a,b", "--k", "2"], ["cli", "cliquewidth"]),
+        (["cwd", "verify", "abab", "--sigma", "a,b", "--k", "2"], ["cli", "cliquewidth"]),
         (["cwd", "eval", "{expression}"], ["cli", "cliquewidth", "graphs"]),
     ],
     ids=[
