@@ -222,39 +222,42 @@ def serialize(expr: CwdExpression) -> str:
     """
     out: list[str] = []
     texts: dict[int, str] = {}  # id of a label -> its text; expr keeps every label alive
-    stack: list[CwdExpression | str] = [expr]  # nodes still to write and closing text
+    # nodes still to write, and the closing text as close (")") and gap
+    # (" "): objects made here, so no caller can pass one in place of a node
+    close, gap = object(), object()
+    stack: list[object] = [expr]
     while stack:
         item = stack.pop()
         cls = item.__class__
-        if cls is str:
-            out.append(item)
+        if item is close:
+            out.append(")")
+        elif item is gap:
+            out.append(" ")
         elif cls is Create:
             text = texts.get(id(item.label)) or _text_of(item.label, texts)
             out.append(f"(create {text} {_quote(item.node)})")
         elif cls is Union:
             out.append("(union ")
-            stack += (")", item.right, " ", item.left)
+            stack += (close, item.right, gap, item.left)
         elif cls is Connect:
             first = texts.get(id(item.first)) or _text_of(item.first, texts)
             second = texts.get(id(item.second)) or _text_of(item.second, texts)
             out.append(f"(connect {first} {second} ")
-            stack += (")", item.child)
+            stack += (close, item.child)
         elif cls is Rename:
             old = texts.get(id(item.old)) or _text_of(item.old, texts)
             new = texts.get(id(item.new)) or _text_of(item.new, texts)
             out.append(f"(rename {old} {new} ")
-            stack += (")", item.child)
-        elif isinstance(item, str):
-            out.append(item)
+            stack += (close, item.child)
         else:
             head, labels, ids, children = _parts(item)
             words = ["(" + head]
             words += [texts.get(id(label)) or _text_of(label, texts) for label in labels]
             words += map(_quote, ids)
             out.append(" ".join(words))
-            stack.append(")")
+            stack.append(close)
             for child in reversed(children):
-                stack += (child, " ")
+                stack += (child, gap)
     return "".join(out)
 
 
@@ -578,6 +581,9 @@ def _evaluate(
     or is added to it with the next free bit. A node created twice raises
     ValueError naming the clashing ids, sorted.
 
+    A node of a subclass is walked as one of its base class, and any other
+    object raises `_parts`'s TypeError.
+
     Each subtree keeps the mask of its nodes and of each label's members,
     and each node a row of its neighbours. A union ORs the masks, a
     connect ORs each group's mask into the rows of the other group's
@@ -586,12 +592,16 @@ def _evaluate(
     order, stack = [], [expr]  # the nodes, parents before children
     while stack:
         node = stack.pop()
-        order.append(node)
         cls = node.__class__
         if cls is Union:
             stack += (node.left, node.right)
-        elif cls is not Create:
+        elif cls is Connect or cls is Rename:
             stack.append(node.child)
+        elif cls is not Create:
+            head, labels, ids, children = _parts(node)
+            node = _FORMS[head][0](*labels, *ids, *children)
+            stack += children
+        order.append(node)
     rows = [0] * len(index)
     done: list[tuple[int, dict[Any, int]]] = []  # per finished subtree: nodes, label groups
     used = set()

@@ -175,7 +175,9 @@ def decide_membership(
     at a time in ascending order. A G - v needs only yes or no, so it is one
     window from its shortest to its complete length (`_any_word`), as
     `wg speed` searches a class: each prefix is visited once, not once per
-    length.
+    length. The search reads only the masks and the symmetries, and spells
+    its word in node indices, in the order of `Graph.sorted_nodes`; the
+    witness is renamed to the node names once.
 
     The search space is complete for both classes, so within budget the
     negative answer is sound; a graph over budget raises instead of
@@ -201,18 +203,16 @@ def decide_membership(
         """Whether G - v has no word up to its complete length."""
         sub = [i for i in range(n) if i != v]
         sub_adj = [_compress(adj[i], sub) for i in sub]
-        generators = _canonical_form(sub_adj)[3]
-        return _any_word([letters[i] for i in sub], sub_adj, generators, maxc, local_k, maxc * (n - 1)) is None
+        return _any_word(sub_adj, _canonical_form(sub_adj)[3], maxc, local_k, maxc * (n - 1)) is None
 
-    nonedges = _nonedge_count(adj)
     shortest = 2 * n - _clique_number(adj)
-    lower, higher = _lex_leader_masks(n, _twins(adj), [])
+    twins, generators = _twins(adj), []
     for length in range(shortest, max_len + 1):
         if length == shortest + 1:
-            lower, higher = _lex_leader_masks(n, [], _canonical_form(adj)[3])
-        witness = _search_exact_length(letters, adj, maxc, length, length, local_k, nonedges, lower, higher)
+            twins, generators = [], _canonical_form(adj)[3]
+        witness = _search_exact_length(adj, maxc, local_k, length, length, twins, generators)
         if witness is not None:
-            return True, make_word(witness)
+            return True, make_word(map(letters.__getitem__, witness))
         # G - v pays only when its "no" is conclusive within max_len
         if (
             length == shortest < complete_len
@@ -288,7 +288,6 @@ def _speed_layers(
             # and the budget message names no class.
             words = None
             continue
-        letters = [chr(i) for i in range(m)]
         answers = []
         kept = {}
         for cls in layer:
@@ -300,11 +299,11 @@ def _speed_layers(
                     if word is not None:
                         break
                 else:
-                    found = _any_word(letters, cls.masks, cls.generators, maxc, local_k, longest)
+                    found = _any_word(cls.masks, cls.generators, maxc, local_k, longest)
                     if found is None:
                         _check_conclusive(longest, complete)
                     else:
-                        word = "".join(found)
+                        word = "".join(map(chr, found))
             if word is not None:
                 kept[cls.code] = word
             answers.append((cls, word))
@@ -313,18 +312,15 @@ def _speed_layers(
 
 
 def _any_word(
-    letters: list[str], adj: Sequence[int], generators: Sequence[Sequence[int]],
-    maxc: int, local_k: int | None, longest: int,
-) -> list[str] | None:
+    adj: Sequence[int], generators: Sequence[Sequence[int]], maxc: int, local_k: int | None, longest: int
+) -> list[int] | None:
     """A word of 2m - omega to `longest` letters for the graph on the masks
-    adj, or None if there is none: one window of `_search_exact_length`,
-    cut by the lex-leader masks of the automorphism generators."""
-    m = len(adj)
-    shortest = 2 * m - _clique_number(adj)
+    adj, as node indices, or None if there is none: one window of
+    `_search_exact_length`, cut by the automorphism generators."""
+    shortest = 2 * len(adj) - _clique_number(adj)
     if shortest > longest:
         return None
-    lower, higher = _lex_leader_masks(m, [], generators)
-    return _search_exact_length(letters, adj, maxc, shortest, longest, local_k, _nonedge_count(adj), lower, higher)
+    return _search_exact_length(adj, maxc, local_k, shortest, longest, [], generators)
 
 
 def _extend_word(
@@ -401,11 +397,6 @@ def _extend_word(
     return None
 
 
-def _nonedge_count(adj: Sequence[int]) -> int:
-    m = len(adj)
-    return m * (m - 1) // 2 - sum(a.bit_count() for a in adj) // 2
-
-
 def _check_conclusive(longest: int, complete: int) -> None:
     """Raise when a search up to `longest` letters found no word, but only
     `complete` letters would make that a "no"."""
@@ -455,24 +446,28 @@ def _clique_number(adj: Sequence[int]) -> int:
 
 
 def _search_exact_length(
-    letters: list[str],
     adj: Sequence[int],
     maxc: int,
+    local_k: int | None,
     lo: int,
     hi: int,
-    local_k: int | None,
-    undoubled_nonedges: int,
-    lower: list[int],
-    higher: list[int],
-) -> list[str] | None:
-    """Depth-first lexicographic search for one representing word whose
-    length lies in the window [lo, hi]; see decide_membership for the
-    pruning rules. With lo = hi it finds the least word of that length.
+    transpositions: list[tuple[int, int]],
+    permutations: Sequence[Sequence[int]],
+) -> list[int] | None:
+    """Depth-first lexicographic search for one word for the graph on the
+    masks adj, spelt in its node indices, whose length lies in the window
+    [lo, hi]; see decide_membership for the pruning rules. With lo = hi it
+    finds the least word of that length.
 
     A prefix of at least lo letters that places every letter and doubles
     every non-edge pair is a word for the graph: it is returned if it is
     k-local (class "L"), and never extended if not, since a factor of a
-    word is never more local than the word.
+    word is never more local than the word. Renaming letters keeps
+    locality, so the index word is checked as it is.
+
+    The automorphisms come as transpositions (u, v), u < v, and as
+    permutations; the search turns them into lex-leader masks and counts
+    the non-edge pairs itself.
 
     Letter sets are bitmasks over letter indices. The {c, d} projection
     ends in c exactly when c has occurred and d has not occurred since, so
@@ -485,14 +480,16 @@ def _search_exact_length(
     its letter and the state before it, so a word may be longer than the
     recursion limit; the last letter is checked in place.
     """
-    n = len(letters)
+    n = len(adj)
     if not hi or not n:
         # the empty word, which represents only the graph with no nodes
         return [] if not n and lo <= 0 else None
+    lower, higher = _lex_leader_masks(n, transpositions, permutations)
     full = (1 << n) - 1
     used = [0] * n
     frames: list[tuple[int, int, int, list[int], list[int], int, int]] = []
-    zeros, pending, scarce, tied = n, undoubled_nonedges, full if maxc < 2 else 0, -1
+    pending = n * (n - 1) // 2 - sum(a.bit_count() for a in adj) // 2  # the non-edges to double
+    zeros, scarce, tied = n, full if maxc < 2 else 0, -1
     since, doubled = [full] * n, [0] * n
     start = 0  # the first letter to try at the current position
     while True:
@@ -517,7 +514,7 @@ def _search_exact_length(
                 continue
             if accepting and not new_zeros and pending == fresh.bit_count():
                 # c completes a word; the node budget already admitted its letters
-                word = [letters[f[0]] for f in frames] + [letters[c]]
+                word = [f[0] for f in frames] + [c]
                 if local_k is None or is_k_local(word, local_k, letter_budget=n):
                     return word
                 continue

@@ -123,7 +123,8 @@ def test_criterion_03_two_label_complete_graph():
 def one_local_word(letters, masks, generators):
     """The search decide's L,1 threshold cut skips: any 1-local word with at
     most two copies of each letter, up to the complete length 2n."""
-    return _any_word(letters, masks, generators, 2, 1, 2 * len(masks))
+    found = _any_word(masks, generators, 2, 1, 2 * len(masks))
+    return None if found is None else [letters[i] for i in found]
 
 
 def check_one_local_classes(sizes):

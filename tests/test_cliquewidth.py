@@ -168,12 +168,13 @@ def test_serialize_forms():
     assert parse(serialize(flags)) == flags
 
 
-@pytest.mark.parametrize("bad", [42, None, (TWO, "a")])
+@pytest.mark.parametrize("bad", [42, None, (TWO, "a"), "x", '(create two "b")'])
 def test_serialize_rejects_what_is_no_node(bad):
     for expr in (bad, Union(Create(TWO, "a"), bad), Rename((1,), TWO, bad)):
-        with pytest.raises(TypeError) as caught:
-            serialize(expr)
-        assert str(caught.value) == f"not an expression node: {bad!r}"
+        for walk in (serialize, eval_expression):
+            with pytest.raises(TypeError) as caught:
+                walk(expr)
+            assert str(caught.value) == f"not an expression node: {bad!r}"
 
 
 def test_serialize_writes_subclasses_like_their_base():
@@ -189,6 +190,10 @@ def test_serialize_writes_subclasses_like_their_base():
     # subclass nodes under a plain node, and plain nodes under a subclass node
     assert serialize(Union(mine, Create(TWO, "c"))) == f'(union {text} (create two "c"))'
     assert serialize(subclasses[1](Create(TWO, "c"), mine)) == f'(union (create two "c") {text})'
+    # and evaluate like it
+    assert eval_expression(mine) == eval_expression(build(Create, Union, Connect, Rename))
+    assert eval_expression(subclasses[0](TWO, "a")) == eval_expression(Create(TWO, "a"))
+    assert eval_expression(Union(mine, Create(TWO, "c"))) == eval_expression(parse(f'(union {text} (create two "c"))'))
 
 
 @pytest.mark.parametrize(
