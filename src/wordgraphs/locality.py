@@ -325,12 +325,72 @@ def locality(
 
 
 def is_k_local(word: Word, k: int, *, letter_budget: int = LETTER_BUDGET_DEFAULT) -> bool:
-    """Whether some marking sequence keeps the word within k blocks."""
+    """Whether some marking sequence keeps the word within k blocks.
+
+    For k = 1 the word is peeled from its two ends in O(n) for n positions
+    (see `_is_one_local`); for k >= 2 the marking DFS `_search` decides, in
+    O(2^m * (m + e)) for m letters and e meeting letter pairs. Either way a
+    word of more than letter_budget letters raises `BudgetExceededError`
+    before anything is decided.
+    """
     _check_k(k)
     if not len(word):
         return True
     letters = _budgeted_letters(word, letter_budget)
+    if k == 1:
+        return _is_one_local(word)
     return _search(word, letters, k + 1, k) is not None
+
+
+def _is_one_local(word: Word) -> bool:
+    """Whether the non-empty word is 1-local, peeling letters off its ends.
+
+    Read backwards, a 1-block marking sequence takes away the last-marked
+    letter at each step, and the positions of the letters left must stay
+    one factor of the word. Every copy of a letter left lies in that
+    factor, so a letter can be taken away exactly when its copies are a
+    prefix plus a suffix of the factor, and only the letter at its left end
+    or the one at its right end can be. Taking one away never spoils the
+    rest: two factors meet in a factor, so if some sequence peels the
+    factor down to nothing, cutting each of its later factors to the
+    factor left without x still peels it, with x skipped. In particular,
+    two letters that can both be taken away sit at opposite ends, and
+    taking one leaves the other removable. So peeling any removable end
+    letter, greedily, decides the question.
+
+    The word is read once into its maximal runs and each letter's count;
+    an end letter is removable when its end run, or its two end runs if it
+    holds both ends, has all its copies. Two pointers walk the runs inward,
+    so the test is O(n) for n positions.
+    """
+    runs: list[str] = []  # the letter of each maximal run, left to right
+    lengths: list[int] = []
+    prev = object()
+    for c in word:
+        if c == prev:
+            lengths[-1] += 1
+        else:
+            runs.append(c)
+            lengths.append(1)
+            prev = c
+    counts: dict[str, int] = {}
+    for c, length in zip(runs, lengths):
+        counts[c] = counts.get(c, 0) + length
+    i, j = 0, len(runs) - 1
+    while i < j:
+        x, y = runs[i], runs[j]
+        if x == y:
+            if counts[x] != lengths[i] + lengths[j]:
+                return False
+            i += 1
+            j -= 1
+        elif counts[x] == lengths[i]:
+            i += 1
+        elif counts[y] == lengths[j]:
+            j -= 1
+        else:
+            return False
+    return True
 
 
 def block_labels(trace: StageTrace, k: int) -> dict[str, Label]:

@@ -157,6 +157,10 @@ def decide_membership(
       BudgetExceededError depends on the cap, which the theorem does not
       see. `wg speed` does not take this cut, so its L,1 threshold
       cross-check compares `_is_threshold` with a search, not with itself.
+      That search's leaf check `is_k_local(word, 1)` peels the word from
+      its ends, while `_is_threshold` peels the graph's isolated and
+      dominating vertices: two tests on different objects, so the
+      cross-check stays independent.
 
     A fourth cut skips words that only rename one already tried. For an
     automorphism pi of G, pi(w) represents G with the same copy counts,

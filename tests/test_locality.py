@@ -19,6 +19,7 @@ from wordgraphs import (
 )
 from wordgraphs.cli import main
 from wordgraphs.errors import BudgetExceededError
+from wordgraphs.locality import _search
 
 
 def oracle_locality(word):
@@ -284,6 +285,85 @@ def test_is_k_local_matches_every_permutation():
 def test_is_k_local_with_requires_positive_k():
     with pytest.raises(ValueError):
         is_k_local_with("ab", ("a", "b"), 0)
+
+
+def one_local_by_dfs(word):
+    """Oracle: the marking DFS, asked for a sequence that stays within one block."""
+    return _search(word, sorted(set(word)), 2, 1) is not None
+
+
+def test_one_locality_peel_matches_the_dfs_on_every_short_word():
+    # every word up to length 8 over 3 letters and up to length 6 over 4,
+    # as strings and as tokens (which sort in another order)
+    tokens = {"a": "x1", "b": "yy", "c": "z", "d": "w10"}
+    answers = []
+    for size, top in ((3, 8), (4, 6)):
+        for n in range(1, top + 1):
+            for combo in itertools.product("abcd"[:size], repeat=n):
+                word = "".join(combo)
+                expected = one_local_by_dfs(word)
+                assert (locality(word)[0] == 1) == expected, word
+                assert is_k_local(word, 1) == expected, word
+                assert is_k_local(tuple(map(tokens.get, combo)), 1) == expected, word
+                answers.append(expected)
+    assert len(answers) == 9840 + 5460 and 0 < sum(answers) < len(answers)
+
+
+def one_swap_mutants(rng, word, count):
+    """Words that differ from word by swapping two positions: random ones,
+    and neighbours across a run boundary, where a peel is most likely to
+    break by one letter."""
+    boundaries = [p for p in range(1, len(word)) if word[p] != word[p - 1]]
+    for i in range(count):
+        if i % 2 and boundaries:
+            q = rng.choice(boundaries)
+            p = q - 1
+        else:
+            p, q = rng.sample(range(len(word)), 2)
+        mutant = list(word)
+        mutant[p], mutant[q] = mutant[q], mutant[p]
+        yield mutant
+
+
+def test_one_locality_peel_on_planted_words_and_their_mutants():
+    # planted 1-local words: each letter in turn, innermost first, puts its
+    # copies at either end (c^a w c^b); 12 letters, thousands of positions
+    rng = random.Random(89)
+    tokens = ["x1", "yy", "z", "w10", "w9", "v", "u_u", "t", "s3", "r", "q", "p0"]
+    answers = []
+    for i in range(8):
+        letters = tokens if i % 2 else list("abcdefghijkl")
+        word = planted_local_word(rng, letters, rng.randint(1000, 5000), 1)
+        assert len(set(word)) == 12
+        assert is_k_local(word, 1) and one_local_by_dfs(word)
+        for mutant in one_swap_mutants(rng, word, 12):
+            expected = one_local_by_dfs(mutant)
+            assert is_k_local(mutant, 1) == expected, (i, mutant)
+            answers.append(expected)
+    assert True in answers and False in answers
+
+
+def test_one_locality_never_enters_the_marking_dfs(monkeypatch, capsys):
+    search = sys.modules["wordgraphs.locality"]
+    from wordgraphs.representability import _speed_layers
+
+    def refused(*args):
+        raise AssertionError("the marking DFS ran")
+
+    monkeypatch.setattr(search, "_search", refused)
+    assert not is_k_local(random_long_word(), 1)
+    assert is_k_local("ccabbaddc", 1) and not is_k_local("abab", 1)
+    # the letter budget still raises first
+    with pytest.raises(BudgetExceededError, match="alphabet has 13 letters, budget is 12"):
+        is_k_local("abcdefghijklm", 1)
+    assert main(["check", "ccabbaddc", "--k", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["k_local"] is True
+    # the L,1 sweep's leaf checks, in its extensions and in its refutations
+    # of 2K2, C4 and P4, peel as well
+    *_, last = _speed_layers("L", 1, 5, node_budget=5, max_len=None)
+    assert sum(cls.labeled for cls, word in last if word is not None) == 332
+    with pytest.raises(AssertionError, match="the marking DFS ran"):
+        is_k_local("abab", 2)
 
 
 def test_letter_budget_enforced():

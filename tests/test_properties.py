@@ -1,7 +1,11 @@
-"""Hypothesis properties of the word graph and of the expression reader and writer."""
+"""Hypothesis properties of the word graph, of 1-locality, of the `check`
+and `locality` exit codes, and of the expression reader and writer."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import re
 
 import pytest
@@ -9,8 +13,21 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from wordgraphs import TWO, Connect, Create, ParseError, Rename, Union, locality, parse, serialize  # noqa: E402
+from wordgraphs import (  # noqa: E402
+    TWO,
+    Connect,
+    Create,
+    ParseError,
+    Rename,
+    Union,
+    is_k_local,
+    locality,
+    parse,
+    serialize,
+)
+from wordgraphs.cli import main  # noqa: E402
 from wordgraphs.graphs import Graph  # noqa: E402
+from wordgraphs.locality import _search  # noqa: E402
 from wordgraphs.words import _alternation_scan, graph_of_word  # noqa: E402
 
 # runs of one to three copies over one to six letters, so adjacent repeats,
@@ -69,6 +86,112 @@ def test_a_factor_is_never_more_local_than_its_word(word, data):
     i = data.draw(st.integers(0, len(word) - 1))
     j = data.draw(st.integers(i + 1, len(word)))
     assert locality(word[i:j])[0] <= locality(word)[0]
+
+
+def one_local_by_dfs(word):
+    """Oracle: the marking DFS, asked for a sequence that stays within one block."""
+    return not word or _search(word, sorted(set(word)), 2, 1) is not None
+
+
+@st.composite
+def planted_one_local_words(draw):
+    """c^a w c^b for each of one to eight letters in turn, innermost first,
+    which is 1-local, or a mutant of it with two positions swapped."""
+    word = ""
+    for c in draw(st.permutations("abcdefgh"[: draw(st.integers(1, 8))])):
+        copies = draw(st.integers(1, 4))
+        left = draw(st.integers(0, copies))
+        word = c * left + word + c * (copies - left)
+    if len(word) > 1 and draw(st.booleans()):
+        p, q = draw(st.lists(st.integers(0, len(word) - 1), min_size=2, max_size=2, unique=True))
+        swapped = list(word)
+        swapped[p], swapped[q] = swapped[q], swapped[p]
+        word = "".join(swapped)
+    return word
+
+
+# runs of one to three copies over one to eight letters
+runs_of_eight = st.integers(1, 8).flatmap(
+    lambda m: st.lists(st.tuples(st.sampled_from("abcdefgh"[:m]), st.integers(1, 3)), max_size=20)
+)
+
+
+@settings(database=None, max_examples=400, deadline=None)
+@given(runs_of_eight.map(lambda rs: "".join(c * m for c, m in rs)) | planted_one_local_words())
+def test_one_locality_by_peeling_matches_the_marking_dfs(word):
+    # as a string and as the list of letter indices the word search builds
+    expected = one_local_by_dfs(word)
+    assert is_k_local(word, 1) == expected
+    assert is_k_local([ord(c) - ord("a") for c in word], 1) == expected
+
+
+@st.composite
+def check_and_locality_argv(draw):
+    """argv for `wg check` or `wg locality`, and the word it names.
+
+    Words are strings, `--tokens` text or whitespace; k runs from -2 to 4;
+    the marking sequence is left out, valid, empty or has an unknown
+    letter; the letter budget is left out or runs from -1 to 13.
+    """
+    verb = draw(st.sampled_from(["check", "locality"]))
+    letters = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "x1", "yy"]), max_size=12))
+    form = draw(st.sampled_from(["string", "tokens", "whitespace"]))
+    if form == "whitespace":
+        text = draw(st.text(st.sampled_from(" \t\n"), max_size=3))
+        tokens = draw(st.booleans())
+    elif form == "tokens":
+        text = draw(st.sampled_from([" ", "  ", "\t"])).join(letters)
+        tokens = True
+    else:
+        text = "".join(c[0] for c in letters)
+        tokens = False
+    word = tuple(text.split()) if tokens else text
+    argv = [verb, text, *(["--tokens"] if tokens else [])]
+    k = draw(st.just(1) | st.integers(-2, 4))  # k = 1, the peel, half the time
+    if verb == "check":
+        argv += ["--k", str(k)]
+    sigma = draw(st.sampled_from([None, None, "valid", "empty", "unknown"]))
+    if sigma is not None:
+        order = draw(st.permutations(sorted(set(word))))
+        texts = {"valid": ",".join(order), "empty": "", "unknown": ",".join([*order, "q9"])}
+        argv += ["--sigma", texts[sigma]]
+    budget = draw(st.none() | st.integers(-1, 13))
+    if budget is not None:
+        argv += ["--budget-letters", str(budget)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv, word, k, sigma
+
+
+@settings(database=None, max_examples=300, deadline=None)
+@given(check_and_locality_argv())
+def test_check_and_locality_keep_the_exit_code_contract(case):
+    argv, word, k, sigma = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, err)
+    if code in (2, 3):
+        # one error line, and never the handler of unexpected exceptions
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+        assert "internal:" not in err, (argv, err)
+    else:
+        assert err == "", argv
+    payload = json.loads(out) if "--json" in argv and code in (0, 1) else None
+    if code == 1:
+        # a sound "no", and only from check
+        assert argv[0] == "check", argv
+        assert payload["k_local"] is False if payload else f"{k}-local: no" in out, (argv, out)
+    if code in (0, 1) and argv[0] == "check" and k == 1:
+        if sigma is None:
+            assert (code == 0) == one_local_by_dfs(word), argv
+        elif code == 0:
+            # a sequence that keeps one block is a witness for the DFS too
+            assert one_local_by_dfs(word), argv
+    if code == 0 and argv[0] == "locality" and sigma is None and payload:
+        assert (payload["locality"] == 1) == one_local_by_dfs(word), argv
 
 
 # (k, word): a word with one to k copies of each of up to six letters
