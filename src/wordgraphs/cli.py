@@ -442,102 +442,137 @@ def _add_json(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The `wg` parser, with arguments only for the verbs argv names.
+
+    Every verb's subparser is created, and, when argv names `cwd`, its
+    three sub-verbs' too; but a verb's arguments, defaults and handler are
+    added only when its name is an element of argv. With argv None every
+    verb is filled. Parsing argv gives the same output either way: argparse
+    enters a subparser only by an exact lookup of its name (no
+    abbreviations), and that name is then an element of argv, so every
+    subparser argparse enters is filled. The empty ones still exist, so the
+    top-level usage, `wg --help` and the "invalid choice" list are those of
+    the full parser. Filling one verb instead of all about halves the
+    build, which is most of a short `wg` call run in process.
+    """
+    named = None if argv is None else set(argv)
+
+    def verb(subparsers, name: str, help: str) -> argparse.ArgumentParser | None:
+        # the subparser to fill, or None when argv never enters it
+        p = subparsers.add_parser(name, help=help)
+        return p if named is None or name in named else None
+
     parser = argparse.ArgumentParser(
         prog="wg", description="graphs represented by words: build, check, and search"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("graph", help="graph represented by a word")
-    _add_word_argument(p)
-    _add_json(p)
-    p.set_defaults(handler=_cmd_graph)
+    p = verb(sub, "graph", "graph represented by a word")
+    if p is not None:
+        _add_word_argument(p)
+        _add_json(p)
+        p.set_defaults(handler=_cmd_graph)
 
-    p = sub.add_parser("locality", help="exact locality, or block counts under --sigma")
-    _add_word_argument(p)
-    p.add_argument("--sigma", help="comma-separated marking sequence")
-    p.add_argument("--budget-letters", type=int, default=None, help="alphabet size limit for the search")
-    _add_json(p)
-    p.set_defaults(handler=_cmd_locality)
+    p = verb(sub, "locality", "exact locality, or block counts under --sigma")
+    if p is not None:
+        _add_word_argument(p)
+        p.add_argument("--sigma", help="comma-separated marking sequence")
+        p.add_argument("--budget-letters", type=int, default=None, help="alphabet size limit for the search")
+        _add_json(p)
+        p.set_defaults(handler=_cmd_locality)
 
-    p = sub.add_parser("check", help="is the word k-local?")
-    _add_word_argument(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--sigma", help="verify this sequence and print its stage trace")
-    p.add_argument("--budget-letters", type=int, default=None)
-    _add_json(p)
-    p.set_defaults(handler=_cmd_check)
+    p = verb(sub, "check", "is the word k-local?")
+    if p is not None:
+        _add_word_argument(p)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--sigma", help="verify this sequence and print its stage trace")
+        p.add_argument("--budget-letters", type=int, default=None)
+        _add_json(p)
+        p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("uniformize", help="cap occurrence counts of a k-local word at k+1")
-    _add_word_argument(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--sigma", required=True, help="witnessing marking sequence")
-    _add_json(p)
-    p.set_defaults(handler=_cmd_uniformize)
+    p = verb(sub, "uniformize", "cap occurrence counts of a k-local word at k+1")
+    if p is not None:
+        _add_word_argument(p)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--sigma", required=True, help="witnessing marking sequence")
+        _add_json(p)
+        p.set_defaults(handler=_cmd_uniformize)
 
-    p = sub.add_parser("decide", help="bounded membership search for a graph")
-    p.add_argument("--graph", required=True, help="graph file (JSON or edge list), - for stdin")
-    p.add_argument("--class", dest="class_kind", required=True, choices=("L", "R"))
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--budget-len", type=int, default=None, help="override the word length bound")
-    _add_json(p)
-    p.set_defaults(handler=_cmd_decide)
+    p = verb(sub, "decide", "bounded membership search for a graph")
+    if p is not None:
+        p.add_argument("--graph", required=True, help="graph file (JSON or edge list), - for stdin")
+        p.add_argument("--class", dest="class_kind", required=True, choices=("L", "R"))
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--budget-nodes", type=int, default=None)
+        p.add_argument("--budget-len", type=int, default=None, help="override the word length bound")
+        _add_json(p)
+        p.set_defaults(handler=_cmd_decide)
 
-    p = sub.add_parser("gen", help="emit a generated graph as JSON")
-    p.add_argument("kind", choices=("complete", "empty", "path", "cycle", "crown", "cliques", "fixture"))
-    p.add_argument("arg", help="node count, parts like 'ab|cd|e', or a fixture name")
-    p.add_argument("--tokens", action="store_true", help="parts contain whitespace-separated tokens")
-    p.set_defaults(handler=_cmd_gen)
+    p = verb(sub, "gen", "emit a generated graph as JSON")
+    if p is not None:
+        p.add_argument("kind", choices=("complete", "empty", "path", "cycle", "crown", "cliques", "fixture"))
+        p.add_argument("arg", help="node count, parts like 'ab|cd|e', or a fixture name")
+        p.add_argument("--tokens", action="store_true", help="parts contain whitespace-separated tokens")
+        p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("cliques", help="2-local word for a union of cliques, with verification")
-    p.add_argument("spec", help="parts like 'ab|cd|e'")
-    p.add_argument("--tokens", action="store_true")
-    _add_json(p)
-    p.set_defaults(handler=_cmd_cliques)
+    p = verb(sub, "cliques", "2-local word for a union of cliques, with verification")
+    if p is not None:
+        p.add_argument("spec", help="parts like 'ab|cd|e'")
+        p.add_argument("--tokens", action="store_true")
+        _add_json(p)
+        p.set_defaults(handler=_cmd_cliques)
 
-    p = sub.add_parser("threshold", help="threshold recognition by elimination")
-    p.add_argument("--graph", required=True, help="graph file (JSON or edge list), - for stdin")
-    p.add_argument("--budget-nodes", type=int, default=None)
-    _add_json(p)
-    p.set_defaults(handler=_cmd_threshold)
+    p = verb(sub, "threshold", "threshold recognition by elimination")
+    if p is not None:
+        p.add_argument("--graph", required=True, help="graph file (JSON or edge list), - for stdin")
+        p.add_argument("--budget-nodes", type=int, default=None)
+        _add_json(p)
+        p.set_defaults(handler=_cmd_threshold)
 
-    p = sub.add_parser("cwd", help="clique-width expressions")
-    cwd_sub = p.add_subparsers(dest="cwd_command", required=True)
+    p = verb(sub, "cwd", "clique-width expressions")
+    if p is not None:
+        cwd_sub = p.add_subparsers(dest="cwd_command", required=True)
 
-    q = cwd_sub.add_parser("build", help="expression for a word and marking witness")
-    _add_word_argument(q)
-    q.add_argument("--sigma", required=True)
-    q.add_argument("--k", type=int, required=True)
-    _add_json(q)
-    q.set_defaults(handler=_cmd_cwd)
+        q = verb(cwd_sub, "build", "expression for a word and marking witness")
+        if q is not None:
+            _add_word_argument(q)
+            q.add_argument("--sigma", required=True)
+            q.add_argument("--k", type=int, required=True)
+            _add_json(q)
+            q.set_defaults(handler=_cmd_cwd)
 
-    q = cwd_sub.add_parser("eval", help="evaluate a serialized expression")
-    q.add_argument("path", help="expression file, - for stdin")
-    _add_json(q)
-    q.set_defaults(handler=_cmd_cwd_eval)
+        q = verb(cwd_sub, "eval", "evaluate a serialized expression")
+        if q is not None:
+            q.add_argument("path", help="expression file, - for stdin")
+            _add_json(q)
+            q.set_defaults(handler=_cmd_cwd_eval)
 
-    q = cwd_sub.add_parser("verify", help="build, evaluate, and compare against the word's graph")
-    _add_word_argument(q)
-    q.add_argument("--sigma", required=True)
-    q.add_argument("--k", type=int, required=True)
-    _add_json(q)
-    q.set_defaults(handler=_cmd_cwd)
+        q = verb(cwd_sub, "verify", "build, evaluate, and compare against the word's graph")
+        if q is not None:
+            _add_word_argument(q)
+            q.add_argument("--sigma", required=True)
+            q.add_argument("--k", type=int, required=True)
+            _add_json(q)
+            q.set_defaults(handler=_cmd_cwd)
 
-    p = sub.add_parser("speed", help="count class members over all labeled graphs on n nodes")
-    p.add_argument("--class", dest="class_kind", required=True, choices=("L", "R"))
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--budget-len", type=int, default=None)
-    _add_json(p)
-    p.set_defaults(handler=_cmd_speed)
+    p = verb(sub, "speed", "count class members over all labeled graphs on n nodes")
+    if p is not None:
+        p.add_argument("--class", dest="class_kind", required=True, choices=("L", "R"))
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--budget-nodes", type=int, default=None)
+        p.add_argument("--budget-len", type=int, default=None)
+        _add_json(p)
+        p.set_defaults(handler=_cmd_speed)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -233,12 +233,14 @@ def _blocks_added(ends: list[tuple[int, int]], done: int) -> int:
     return blocks // 2
 
 
+def _check_letter_budget(count: int, letter_budget: int) -> None:
+    if count > letter_budget:
+        raise BudgetExceededError(f"alphabet has {count} letters, budget is {letter_budget}")
+
+
 def _budgeted_letters(word: Word, letter_budget: int) -> list[str]:
     letters = sorted(alphabet(word))
-    if len(letters) > letter_budget:
-        raise BudgetExceededError(
-            f"alphabet has {len(letters)} letters, budget is {letter_budget}"
-        )
+    _check_letter_budget(len(letters), letter_budget)
     return letters
 
 
@@ -336,13 +338,12 @@ def is_k_local(word: Word, k: int, *, letter_budget: int = LETTER_BUDGET_DEFAULT
     _check_k(k)
     if not len(word):
         return True
-    letters = _budgeted_letters(word, letter_budget)
     if k == 1:
-        return _is_one_local(word)
-    return _search(word, letters, k + 1, k) is not None
+        return _is_one_local(word, letter_budget)
+    return _search(word, _budgeted_letters(word, letter_budget), k + 1, k) is not None
 
 
-def _is_one_local(word: Word) -> bool:
+def _is_one_local(word: Word, letter_budget: int) -> bool:
     """Whether the non-empty word is 1-local, peeling letters off its ends.
 
     Read backwards, a 1-block marking sequence takes away the last-marked
@@ -361,7 +362,9 @@ def _is_one_local(word: Word) -> bool:
     The word is read once into its maximal runs and each letter's count;
     an end letter is removable when its end run, or its two end runs if it
     holds both ends, has all its copies. Two pointers walk the runs inward,
-    so the test is O(n) for n positions.
+    so the test is O(n) for n positions. The letter count comes from the
+    same pass, so the budget is checked without sorting the alphabet,
+    before any letter is peeled.
     """
     runs: list[str] = []  # the letter of each maximal run, left to right
     lengths: list[int] = []
@@ -376,6 +379,7 @@ def _is_one_local(word: Word) -> bool:
     counts: dict[str, int] = {}
     for c, length in zip(runs, lengths):
         counts[c] = counts.get(c, 0) + length
+    _check_letter_budget(len(counts), letter_budget)
     i, j = 0, len(runs) - 1
     while i < j:
         x, y = runs[i], runs[j]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -991,6 +992,53 @@ def test_usage_error_texts(capsys, monkeypatch):
     for verb, _, error_sha1, last in VERB_TEXTS:
         code, out, err = run(capsys, *verb.split())
         assert (code, out, err.splitlines()[-1], _sha1(err)) == (2, "", last, error_sha1), verb
+
+
+def _parsers(parser, path=()):
+    """(names on the way, parser) for the parser and every subparser below it."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, (*path, name))
+
+
+def _filled(parser):
+    """Names of the subparsers, nested ones included, that hold an action besides -h."""
+    return {
+        path[-1] for path, sub in _parsers(parser)
+        if path and any(not isinstance(a, argparse._HelpAction) for a in sub._actions)
+    }
+
+
+VERBS = {"graph", "locality", "check", "uniformize", "decide", "gen", "cliques", "threshold", "cwd", "speed"}
+
+
+def test_build_parser_fills_only_the_named_verbs():
+    parser = cli.build_parser(["locality", "abc"])
+    # every verb's subparser exists, so help and usage texts name them all
+    assert {path for path, _ in _parsers(parser)} == {()} | {(verb,) for verb in VERBS}
+    assert _filled(parser) == {"locality"}
+    assert _filled(cli.build_parser(["--", "locality", "abc"])) == {"locality"}
+    assert _filled(cli.build_parser(["cwd", "verify", "abab", "--sigma", "a,b", "--k", "2"])) == {"cwd", "verify"}
+    assert _filled(cli.build_parser(["bogus"])) == set()
+    assert _filled(cli.build_parser()) == VERBS | {"build", "eval", "verify"}
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    seen = []
+    build = cli.build_parser
+
+    def recording(argv=None):
+        seen.append(argv)
+        return build(argv)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    monkeypatch.setattr("sys.argv", ["wg", "locality", "abcab", "--json"])
+    assert main() == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ('{"locality": 2, "witness": ["a", "b", "c"], "word": "abcab"}\n', "")
+    assert seen == [["locality", "abcab", "--json"]]
 
 
 def test_internal_error_exits_four(capsys, monkeypatch):

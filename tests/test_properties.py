@@ -1,17 +1,21 @@
 """Hypothesis properties of the word graph, of 1-locality, of the `check`
-and `locality` exit codes, and of the expression reader and writer."""
+and `locality` exit codes, of the verb-only `wg` parser, and of the
+expression reader and writer."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import os
 import re
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from wordgraphs import (  # noqa: E402
     TWO,
@@ -25,10 +29,12 @@ from wordgraphs import (  # noqa: E402
     parse,
     serialize,
 )
-from wordgraphs.cli import main  # noqa: E402
+from wordgraphs.cli import build_parser, main  # noqa: E402
 from wordgraphs.graphs import Graph  # noqa: E402
 from wordgraphs.locality import _search  # noqa: E402
 from wordgraphs.words import _alternation_scan, graph_of_word  # noqa: E402
+
+from test_cli import _parsers  # noqa: E402
 
 # runs of one to three copies over one to six letters, so adjacent repeats,
 # single occurrences and pairs that alternate one way only are all common
@@ -192,6 +198,77 @@ def test_check_and_locality_keep_the_exit_code_contract(case):
             assert one_local_by_dfs(word), argv
     if code == 0 and argv[0] == "locality" and sigma is None and payload:
         assert (payload["locality"] == 1) == one_local_by_dfs(word), argv
+
+
+# the top level, the 10 verbs and the 3 `cwd` sub-verbs of the full parser
+PARSERS = dict(_parsers(build_parser()))
+FLAGS = sorted({flag for p in PARSERS.values() for a in p._actions for flag in a.option_strings})
+# verb names and a bogus verb, `--` and -h; small ints, short words, and verb names as plain values
+ARGV_TOKENS = sorted({name for path in PARSERS for name in path}) + ["bogus", "--", "-h"]
+ARGV_VALUES = ["-1", "0", "1", "2", "3", "5", "abcab", "a,b", "ab|cd", "L", "R", "-", "cycle", "graph", "speed"]
+
+
+def _argument_unit(action):
+    """A positional's value, or an option with its value if it takes one;
+    the value fits the argument three times in four, else it is any value."""
+    if action.nargs == 0:
+        return st.just([action.option_strings[-1]])
+    if action.choices:
+        fitting = sorted(action.choices)
+    else:
+        fitting = ["1", "2", "3"] if action.type is int else ["abcab", "a,b", "-"]
+    values = st.one_of(*[st.sampled_from(fitting)] * 3, st.sampled_from(ARGV_VALUES))
+    if not action.option_strings:
+        return values.map(lambda value: [value])
+    return st.tuples(st.sampled_from(action.option_strings), values).map(list)
+
+
+@st.composite
+def wg_argv(draw):
+    """A verb path, or none; then its parser's required arguments, each
+    most of the time, and a few more of its arguments or stray tokens,
+    flags and values, in any order. So a fair share of argvs parse."""
+    path = draw(st.sampled_from(sorted(PARSERS)))
+    own = [
+        a for a in PARSERS[path]._actions
+        if a.dest != "help" and not isinstance(a, argparse._SubParsersAction)
+    ]
+    units = [
+        draw(_argument_unit(a)) for a in own
+        if (a.required or not a.option_strings) and draw(st.sampled_from([True, True, True, False]))
+    ]
+    stray = st.sampled_from(ARGV_TOKENS + FLAGS + ARGV_VALUES).map(lambda token: [token])
+    more = stray | st.sampled_from(own).flatmap(_argument_unit) if own else stray
+    units = draw(st.permutations(units + draw(st.lists(more, max_size=3))))
+    return [*path, *(token for unit in units for token in unit)]
+
+
+def _parse(parser, argv):
+    """Exit code (None when parsing succeeds), stdout, stderr and namespace."""
+    out, err = io.StringIO(), io.StringIO()
+    code, namespace = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+@settings(database=None, max_examples=400, deadline=None)
+@given(wg_argv())
+@example(["--", "locality", "abcab"])
+@example(["-h", "decide"])
+@example(["cwd", "verify", "abcab", "--sigma", "a,b", "--k", "2", "--json"])
+@example(["decide", "--graph", "-", "--class", "L", "--k", "1", "--budget-len", "5"])
+@example(["speed", "--class", "R", "--k", "2", "--n", "5", "--json"])
+def test_verb_only_parser_parses_like_the_full_one(argv):
+    assert len(PARSERS) == 14 and {"--json", "--budget-letters", "--sigma", "--n"} <= set(FLAGS)
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        full = _parse(build_parser(), argv)
+        verb_only = _parse(build_parser(argv), argv)
+    # the namespace holds the handler, so equal namespaces run the same function
+    assert verb_only == full, argv
 
 
 # (k, word): a word with one to k copies of each of up to six letters
