@@ -54,7 +54,8 @@ def _word(args: argparse.Namespace) -> str | tuple[str, ...]:
 
 
 def _sigma(text: str) -> tuple[str, ...]:
-    items = tuple(part.strip() for part in text.split(","))
+    # a part that is all whitespace is that letter, as in "a, ,b" for the letter " "
+    items = tuple(part.strip() or part for part in text.split(","))
     if any(not part for part in items):
         raise ValueError(f"bad marking sequence {text!r}; use comma-separated letters")
     return items
@@ -455,13 +456,20 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     top-level usage, `wg --help` and the "invalid choice" list are those of
     the full parser. Filling one verb instead of all about halves the
     build, which is most of a short `wg` call run in process.
+
+    An empty subparser is also made without `-h` (`add_help=False`): argv
+    never enters it, so its help is never printed, and those texts read
+    only the subparser names and their `help=` lines. A `-h` action costs
+    a help formatter and a terminal-size lookup; nine of them would be
+    about a fifth of a short `wg` call.
     """
     named = None if argv is None else set(argv)
 
     def verb(subparsers, name: str, help: str) -> argparse.ArgumentParser | None:
         # the subparser to fill, or None when argv never enters it
-        p = subparsers.add_parser(name, help=help)
-        return p if named is None or name in named else None
+        entered = named is None or name in named
+        p = subparsers.add_parser(name, help=help, add_help=entered)
+        return p if entered else None
 
     parser = argparse.ArgumentParser(
         prog="wg", description="graphs represented by words: build, check, and search"

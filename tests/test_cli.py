@@ -244,13 +244,34 @@ def test_bad_env_budget_exits_two(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [("locality", "a", "--sigma", ""), ("check", "ab", "--k", "1", "--sigma", "")],
+    [
+        ("locality", "a", "--sigma", ""),
+        ("check", "ab", "--k", "1", "--sigma", ""),
+        ("check", "a b", "--k", "1", "--sigma", " ,a,,b"),
+    ],
 )
 def test_empty_sigma_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "marking sequence" in err
+
+
+def test_whitespace_letter_witness_reads_back(capsys):
+    # a part that is all whitespace is that letter, so every witness
+    # `locality --json` prints is a sequence `--sigma` reads back
+    for n in range(1, 6):
+        for letters in itertools.product("ab \t", repeat=n):
+            word = "".join(letters)
+            code, out, _ = run(capsys, "locality", word, "--json")
+            assert code == 0, word
+            payload = json.loads(out)
+            k, sigma = payload["locality"], ",".join(payload["witness"])
+            code, out, err = run(capsys, "check", word, "--k", str(k), "--sigma", sigma, "--json")
+            assert (code, err) == (0, ""), word
+            assert json.loads(out)["max_block_count"] == k, word
+            code, _, err = run(capsys, "cwd", "verify", word, "--sigma", sigma, "--k", str(k))
+            assert (code, err) == (0, ""), word
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])
@@ -1004,11 +1025,22 @@ def _parsers(parser, path=()):
 
 
 def _filled(parser):
-    """Names of the subparsers, nested ones included, that hold an action besides -h."""
-    return {
-        path[-1] for path, sub in _parsers(parser)
-        if path and any(not isinstance(a, argparse._HelpAction) for a in sub._actions)
-    }
+    """Names of the subparsers, nested ones included, that hold an action
+    besides -h; build_parser leaves the others with no action, not even -h."""
+    return _holding(parser, lambda actions: any(not isinstance(a, argparse._HelpAction) for a in actions))
+
+
+def _holding(parser, has):
+    """Names of the subparsers, nested ones included, whose action list passes has."""
+    return {path[-1] for path, sub in _parsers(parser) if path and has(sub._actions)}
+
+
+def _helped(actions):
+    return any(isinstance(a, argparse._HelpAction) for a in actions)
+
+
+def _empty(actions):
+    return actions == []
 
 
 VERBS = {"graph", "locality", "check", "uniformize", "decide", "gen", "cliques", "threshold", "cwd", "speed"}
@@ -1018,11 +1050,21 @@ def test_build_parser_fills_only_the_named_verbs():
     parser = cli.build_parser(["locality", "abc"])
     # every verb's subparser exists, so help and usage texts name them all
     assert {path for path, _ in _parsers(parser)} == {()} | {(verb,) for verb in VERBS}
-    assert _filled(parser) == {"locality"}
-    assert _filled(cli.build_parser(["--", "locality", "abc"])) == {"locality"}
-    assert _filled(cli.build_parser(["cwd", "verify", "abab", "--sigma", "a,b", "--k", "2"])) == {"cwd", "verify"}
-    assert _filled(cli.build_parser(["bogus"])) == set()
-    assert _filled(cli.build_parser()) == VERBS | {"build", "eval", "verify"}
+    cases = [
+        (["locality", "abc"], {"locality"}),
+        (["--", "locality", "abc"], {"locality"}),
+        (["cwd", "verify", "abab", "--sigma", "a,b", "--k", "2"], {"cwd", "verify"}),
+        (["bogus"], set()),
+    ]
+    for argv, named in cases:
+        parser = cli.build_parser(argv)
+        # a named subparser keeps its -h; the others hold no action at all
+        assert _filled(parser) == named, argv
+        assert _holding(parser, _helped) == named, argv
+        assert _holding(parser, _empty) == {path[-1] for path, _ in _parsers(parser) if path} - named, argv
+    full = cli.build_parser()
+    assert len(list(_parsers(full))) == 14
+    assert _filled(full) == _holding(full, _helped) == VERBS | {"build", "eval", "verify"}
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
